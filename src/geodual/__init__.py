@@ -37,7 +37,6 @@ from .hypergraphs import (
     minimal_transversals,
 )
 from .implications import (
-    DirectedGraph,
     Implication,
     ImplicationalBase,
     closure,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Antichain",
     "BergeBackend",
-    "DirectedGraph",
     "DualizationBackend",
     "DuplicateImplicationWarning",
     "DuplicateSetWarning",

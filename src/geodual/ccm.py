@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import NotRankedError, PreconditionError
-from .hypergraphs import DualizationBackend, Hypergraph, maximal_independent_sets
+from .hypergraphs import DualizationBackend, Hypergraph, independent_masks
 from .implications import ImplicationalBase
 from .ranking import RankConflict, RankFunction, compute_rank, validate_rank
 from .sets import ElementSet
@@ -52,6 +52,11 @@ def _check_ranked_set(rho: RankFunction, b: RankedSet) -> None:
         )
 
 
+def _premises(base: ImplicationalBase, bmask: int) -> list[int]:
+    """Premise masks of the rules concluding inside `bmask`, in base order."""
+    return [pmask for pmask, concl, _ in base._rules if bmask >> concl & 1]
+
+
 def level_hypergraph(
     base: ImplicationalBase, rho: RankFunction, b: RankedSet
 ) -> Hypergraph:
@@ -64,26 +69,24 @@ def level_hypergraph(
     """
     _check_ranked(base, rho)
     _check_ranked_set(rho, b)
-    return _level_hypergraph(base, rho, b)
-
-
-def _level_hypergraph(
-    base: ImplicationalBase, rho: RankFunction, b: RankedSet
-) -> Hypergraph:
     u = base.ground
-    vertices = ElementSet(u, rho.level_mask(b.rank + 1))
-    bmask = b.members.mask
-    edges = [imp.premise for imp in base.implications if bmask >> imp.conclusion & 1]
-    return Hypergraph(vertices, edges)
+    edges = [ElementSet(u, p) for p in _premises(base, b.members.mask)]
+    return Hypergraph(ElementSet(u, rho.level_mask(b.rank + 1)), edges)
+
+
+def _levels(rho: RankFunction, top: int) -> tuple[int, ...]:
+    """Masks of the ranks 0..top; the recursion stops at rank `top`."""
+    return tuple(rho.level_mask(r) for r in range(top + 1))
+
+
+def _seed(rho: RankFunction, rank: int, bmask: int) -> int:
+    """Mask of the elements of rank at most `rank` outside `bmask`."""
+    return sum(1 << pos for pos, r in enumerate(rho.ranks) if r <= rank) & ~bmask
 
 
 def seed_region(base: ImplicationalBase, rho: RankFunction, b: RankedSet) -> ElementSet:
     """Elements of rank at most `b.rank` outside `b`: common to every output."""
-    mask = 0
-    for pos, r in enumerate(rho.ranks):
-        if r <= b.rank:
-            mask |= 1 << pos
-    return ElementSet(base.ground, mask & ~b.members.mask)
+    return ElementSet(base.ground, _seed(rho, b.rank, b.members.mask))
 
 
 def maximal_avoiding_sets(
@@ -104,27 +107,55 @@ def maximal_avoiding_sets(
     _check_ranked_set(rho, b)
     if c.mask & b.members.mask:
         raise PreconditionError("the accumulated region must avoid the target set")
-    k = max(rho.ranks, default=b.rank)
-    yield from _recurse(base, rho, k, b, c.mask, backend)
+    levels = _levels(rho, max(rho.ranks, default=b.rank))
+    for mask in _recurse(base, levels, b.members.mask, b.rank, c.mask, backend):
+        yield ElementSet(base.ground, mask)
 
 
 def _recurse(
     base: ImplicationalBase,
-    rho: RankFunction,
-    k: int,
-    b: RankedSet,
+    levels: tuple[int, ...],
+    bmask: int,
+    rank: int,
     cmask: int,
     backend: DualizationBackend | None,
-) -> Iterator[ElementSet]:
-    u = base.ground
-    if b.rank >= k:
-        yield ElementSet(u, cmask)
+) -> Iterator[int]:
+    """Maximal closed supersets of `cmask` avoiding `bmask`, whose members
+    all have rank `rank`, ranks above it still open."""
+    if rank + 1 >= len(levels):
+        yield cmask
         return
-    hb = _level_hypergraph(base, rho, b)
-    next_level = rho.level_mask(b.rank + 1)
-    for s in maximal_independent_sets(hb, backend):
-        complement = RankedSet(ElementSet(u, next_level & ~s.mask), b.rank + 1)
-        yield from _recurse(base, rho, k, complement, cmask | s.mask, backend)
+    up = levels[rank + 1]
+    for s in independent_masks(up, _premises(base, bmask), backend):
+        yield from _recurse(base, levels, up & ~s, rank + 1, cmask | s, backend)
+
+
+def ranked(base: ImplicationalBase) -> RankFunction:
+    """The rank function of `base`.
+
+    Raises :class:`NotRankedError`, with the conflict attached, when the
+    base admits none.
+    """
+    rho = compute_rank(base)
+    if isinstance(rho, RankConflict):
+        raise NotRankedError(f"base is not ranked: {rho.describe()}", conflict=rho)
+    return rho
+
+
+def meets_avoiding(
+    base: ImplicationalBase,
+    rho: RankFunction,
+    j: int,
+    backend: DualizationBackend | None = None,
+) -> Iterator[int]:
+    """Stream the masks of the maximal closed sets avoiding the element `j`.
+
+    `rho` must be the rank function of `base`, as :func:`ranked` returns
+    it; computing it once serves every element.
+    """
+    levels = _levels(rho, rho.max_rank)
+    rank, bit = rho.ranks[j], 1 << j
+    return _recurse(base, levels, bit, rank, _seed(rho, rank, bit), backend)
 
 
 def meet_irreducibles(
@@ -138,15 +169,8 @@ def meet_irreducibles(
     :class:`NotRankedError`, with the conflict attached, when the base
     admits no rank function.
     """
-    rho = compute_rank(base)
-    if isinstance(rho, RankConflict):
-        raise NotRankedError(
-            f"base is not ranked: {rho.describe()}", conflict=rho
-        )
-    k = rho.max_rank
+    rho = ranked(base)
     u = base.ground
     for j in range(u.size):
-        b = RankedSet(ElementSet(u, 1 << j), rho.ranks[j])
-        seed = seed_region(base, rho, b)
-        for m in _recurse(base, rho, k, b, seed.mask, backend):
-            yield j, m
+        for mask in meets_avoiding(base, rho, j, backend):
+            yield j, ElementSet(u, mask)

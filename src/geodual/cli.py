@@ -1,21 +1,27 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input or parse error, 2 semantic precondition
-violated (unranked base, cyclic base, bad meet family, size guard),
-3 verification failure.  Enumeration commands stream one result per line
-as it is produced; labels, never positions, appear in output.
+Exit codes: 0 success, 1 input or parse error (including an input file
+that is missing, unreadable, a directory or not UTF-8), 2 semantic
+precondition violated (unranked base, cyclic base, bad meet family, size
+guard), 3 verification failure.  Enumeration commands stream one result
+per line as it is produced; labels, never positions, appear in output.
+A reader that closes the output early (``geodual ccm big.imp | head -1``)
+ends the command quietly, with exit code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from . import formats
-from .ccm import meet_irreducibles
+from .ccm import meet_irreducibles, meets_avoiding, ranked
 from .critical import critical_base
 from .dualization import Antichain, check_dual, reduce_dual_to_cmi
 from .errors import (
@@ -25,7 +31,7 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .implications import ImplicationalBase
+from .implications import Implication
 from .oracle import (
     all_closed_sets,
     joins_brute,
@@ -36,9 +42,9 @@ from .oracle import (
     random_ranked_base,
     transversals_brute,
 )
-from .ranking import RankConflict, RankFunction, compute_rank
+from .ranking import RankFunction, compute_rank
 from .sets import ElementSet
-from .sid import MeetFamily, iter_recovered_implications, partition_meets, recover_critical_base
+from .sid import MeetFamily, partition_meets, recover_critical_base, recovered_premises
 
 
 def _println(line: str) -> None:
@@ -54,76 +60,55 @@ def _print_sets(sets, as_json: bool) -> None:
             _println(formats.format_set(s))
 
 
-def _load_base(path) -> ImplicationalBase:
-    return formats.read_imp(path)
+def _drain(gen, *args) -> list:
+    """Worker task for `--jobs`: one element's stream, as a list."""
+    return list(gen(*args))
 
 
-def _load_family(path):
-    return formats.read_mf(path)
+@contextlib.contextmanager
+def _element_map(jobs: int):
+    """A `map` for per-element generators, in element order.
+
+    With one job it is the builtin `map`, so each element's stream is
+    consumed lazily in process.  With more, each generator is drained to a
+    list by one of `jobs` worker processes.
+    """
+    if jobs <= 1:
+        yield map
+        return
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        yield lambda gen, *iterables: pool.map(partial(_drain, gen), *iterables)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # -- subcommands -------------------------------------------------------------
 
 
-def _ccm_job(payload):
-    """Worker for --jobs: all meets avoiding one element, as masks."""
-    base, j = payload
-    from .ccm import RankedSet, _recurse, seed_region
-
-    rho = compute_rank(base)
-    k = rho.max_rank
-    b = RankedSet(ElementSet(base.ground, 1 << j), rho.ranks[j])
-    seed = seed_region(base, rho, b)
-    return j, [m.mask for m in _recurse(base, rho, k, b, seed.mask, None)]
-
-
 def cmd_ccm(args) -> int:
-    base = _load_base(args.file)
-    if args.jobs and args.jobs > 1:
-        rho = compute_rank(base)
-        if isinstance(rho, RankConflict):
-            raise NotRankedError(f"base is not ranked: {rho.describe()}", conflict=rho)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = pool.map(
-                _ccm_job, [(base, j) for j in range(base.ground.size)]
-            )
-            stream = (
-                (j, ElementSet(base.ground, mask))
-                for j, masks in results
-                for mask in masks
-            )
-            _emit_ccm(base, stream, args)
-        return 0
-    _emit_ccm(base, meet_irreducibles(base), args)
+    base = formats.read_imp(args.file)
+    rho = ranked(base)
+    ground = base.ground
+    labels = ground.labels
+    with _element_map(args.jobs) as element_map:
+        streams = element_map(partial(meets_avoiding, base, rho), range(ground.size))
+        for j, masks in enumerate(streams):
+            for mask in masks:
+                _println(_meet_line(args, labels[j], ElementSet(ground, mask)))
     return 0
 
 
-def _emit_ccm(base, stream, args) -> None:
-    labels = base.ground.labels
-    for j, meet in stream:
-        if args.json:
-            _println(json.dumps({"element": labels[j], "meet": list(meet.labels())}))
-        elif args.by_element:
-            _println(f"{labels[j]}: {formats.format_set(meet)}")
-        else:
-            _println(formats.format_set(meet))
-
-
-def _sid_job(payload):
-    """Worker for --jobs: recovered premises for one conclusion, as masks."""
-    family, j, j_up = payload
-    from .hypergraphs import induced, minimal_transversals
-    from .sid import complement_hypergraph, predecessors
-
-    if not j_up:
-        return j, []
-    pred = predecessors(family, j, j_up)
-    restricted = induced(complement_hypergraph(family, j, j_up), pred)
-    return j, [t.mask for t in minimal_transversals(restricted)]
+def _meet_line(args, label: str, meet: ElementSet) -> str:
+    if args.json:
+        return json.dumps({"element": label, "meet": list(meet.labels())})
+    if args.by_element:
+        return f"{label}: {formats.format_set(meet)}"
+    return formats.format_set(meet)
 
 
 def cmd_sid(args) -> int:
-    ground, sets = _load_family(args.file)
+    ground, sets = formats.read_mf(args.file)
     family = MeetFamily(ground, sets)
     if args.verify or args.strict:
         base = recover_critical_base(family, verify=args.verify, strict=args.strict)
@@ -131,30 +116,25 @@ def cmd_sid(args) -> int:
         sys.stdout.flush()
         return 0
     _println("elements: " + " ".join(ground.labels))
-    if args.jobs and args.jobs > 1:
-        part = partition_meets(family)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            payloads = [(family, j, part[j]) for j in range(ground.size)]
-            for j, masks in pool.map(_sid_job, payloads):
-                labels = ground.labels
-                for mask in masks:
-                    lhs = " ".join(labels[i] for i in ElementSet(ground, mask))
-                    _println(f"{lhs} -> {labels[j]}")
-        return 0
-    for imp in iter_recovered_implications(family):
-        _println(repr(imp))
+    part = partition_meets(family)
+    blocks = [part[j] for j in range(ground.size)]
+    with _element_map(args.jobs) as element_map:
+        streams = element_map(partial(recovered_premises, family), range(ground.size), blocks)
+        for j, masks in enumerate(streams):
+            for mask in masks:
+                _println(repr(Implication(ElementSet(ground, mask), j)))
     return 0
 
 
 def cmd_critical_base(args) -> int:
-    base = _load_base(args.file)
+    base = formats.read_imp(args.file)
     sys.stdout.write(formats.format_imp(critical_base(base)))
     sys.stdout.flush()
     return 0
 
 
 def cmd_rank_check(args) -> int:
-    base = _load_base(args.file)
+    base = formats.read_imp(args.file)
     result = compute_rank(base)
     if isinstance(result, RankFunction):
         if args.json:
@@ -195,7 +175,7 @@ def cmd_rank_check(args) -> int:
 
 
 def _load_antichain(base, path) -> Antichain:
-    ground, sets = _load_family(path)
+    ground, sets = formats.read_mf(path)
     if ground != base.ground:
         raise InputError(
             f"{path}: element list differs from the base (order matters)"
@@ -205,7 +185,7 @@ def _load_antichain(base, path) -> Antichain:
 
 
 def cmd_dual_check(args) -> int:
-    base = _load_base(args.file)
+    base = formats.read_imp(args.file)
     bplus = _load_antichain(base, args.plus)
     bminus = _load_antichain(base, args.minus)
     _println("dual" if check_dual(base, bplus, bminus) else "not dual")
@@ -213,12 +193,12 @@ def cmd_dual_check(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    base = _load_base(args.file)
+    base = formats.read_imp(args.file)
     bplus = _load_antichain(base, args.plus)
     bminus = _load_antichain(base, args.minus)
     meets = None
     if args.meets:
-        ground, sets = _load_family(args.meets)
+        ground, sets = formats.read_mf(args.meets)
         if ground != base.ground:
             raise InputError(f"{args.meets}: element list differs from the base")
         meets = MeetFamily(base.ground, [ElementSet(base.ground, s.mask) for s in sets])
@@ -230,7 +210,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    base = _load_base(args.file)
+    base = formats.read_imp(args.file)
     meets = MeetFamily(base.ground, [m for _, m in meet_irreducibles(base)])
     recovered = recover_critical_base(meets)
     expected = critical_base(base)
@@ -251,19 +231,19 @@ def cmd_oracle(args) -> int:
     if args.oracle_command == "mingens" and not args.target:
         raise InputError("oracle mingens requires --target")
     if args.oracle_command == "closed-sets":
-        _print_sets(all_closed_sets(_load_base(args.file)), args.json)
+        _print_sets(all_closed_sets(formats.read_imp(args.file)), args.json)
     elif args.oracle_command == "meets":
-        _print_sets(meets_brute(_load_base(args.file)), args.json)
+        _print_sets(meets_brute(formats.read_imp(args.file)), args.json)
     elif args.oracle_command == "joins":
-        _print_sets(joins_brute(_load_base(args.file)), args.json)
+        _print_sets(joins_brute(formats.read_imp(args.file)), args.json)
     elif args.oracle_command == "mingens":
-        base = _load_base(args.file)
+        base = formats.read_imp(args.file)
         target = base.ground.position(args.target)
         _print_sets(mingens_brute(base, target), args.json)
     elif args.oracle_command == "transversals":
         _print_sets(transversals_brute(formats.read_hg(args.file)), args.json)
     elif args.oracle_command == "partition":
-        ground, sets = _load_family(args.file)
+        ground, sets = formats.read_mf(args.file)
         family = MeetFamily(ground, sets)
         for j, fam in sorted(partition_meets(family).items()):
             for m in fam:
@@ -375,8 +355,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush of
+        # what is still buffered, at interpreter exit, cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

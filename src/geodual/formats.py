@@ -20,6 +20,16 @@ from .sets import ElementSet, GroundSet
 EMPTY_SET_TOKEN = "."
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of a file; undecodable bytes are a parse error."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
 def _effective_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -92,8 +102,7 @@ def parse_imp(text: str, source: str = "<string>") -> ImplicationalBase:
 
 
 def read_imp(path) -> ImplicationalBase:
-    path = Path(path)
-    return parse_imp(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_imp(_read_text(path), source=str(path))
 
 
 def format_imp(base: ImplicationalBase) -> str:
@@ -131,8 +140,7 @@ def parse_mf(text: str, source: str = "<string>") -> tuple[GroundSet, tuple[Elem
 
 
 def read_mf(path) -> tuple[GroundSet, tuple[ElementSet, ...]]:
-    path = Path(path)
-    return parse_mf(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_mf(_read_text(path), source=str(path))
 
 
 def format_set(s: ElementSet) -> str:
@@ -167,15 +175,10 @@ def parse_hg(text: str, source: str = "<string>") -> Hypergraph:
 
 
 def read_hg(path) -> Hypergraph:
-    path = Path(path)
-    return parse_hg(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_hg(_read_text(path), source=str(path))
 
 
 def format_hg(h: Hypergraph) -> str:
     lines = ["vertices: " + " ".join(h.vertices.labels())]
     lines.extend(format_set(e) for e in h.edges)
     return "\n".join(lines) + "\n"
-
-
-def write_hg(h: Hypergraph, path) -> None:
-    Path(path).write_text(format_hg(h), encoding="utf-8")

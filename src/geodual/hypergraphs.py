@@ -62,10 +62,6 @@ class Hypergraph(Immutable):
         u = self.universe
         return tuple(ElementSet(u, m) for m in self.reduced_edge_masks())
 
-    def edge_family(self) -> frozenset[ElementSet]:
-        """The edges as a set family (duplicates collapsed, order dropped)."""
-        return frozenset(self.edges)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Hypergraph)
@@ -139,12 +135,22 @@ def maximal_independent_sets(
     no edges the whole vertex set is the single output.  Order is
     lexicographic on the ascending position sequence.
     """
-    backend = backend or DEFAULT_BACKEND
     u = h.universe
-    vmask = h.vertices.mask
-    masks = backend.transversal_masks(h.reduced_edge_masks())
-    for mask in sorted((vmask & ~m for m in masks), key=sort_key_lex):
+    for mask in independent_masks(h.vertices.mask, (e.mask for e in h.edges), backend):
         yield ElementSet(u, mask)
+
+
+def independent_masks(
+    vertices: int, edges: Iterable[int], backend: DualizationBackend | None = None
+) -> list[int]:
+    """The maximal independent sets of a hypergraph given as raw masks.
+
+    `edges` must lie inside `vertices`.  Order is that of
+    :func:`maximal_independent_sets`.
+    """
+    backend = backend or DEFAULT_BACKEND
+    masks = backend.transversal_masks(minimal_masks(edges))
+    return sorted((vertices & ~m for m in masks), key=sort_key_lex)
 
 
 def induced(h: Hypergraph, s: ElementSet) -> Hypergraph:

@@ -10,7 +10,6 @@ O(|X| + total premise size).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Iterator
 
@@ -148,26 +147,6 @@ class ImplicationalBase(Immutable):
         return f"ImplicationalBase({self.ground!r}, {len(self.implications)} implications)"
 
 
-@dataclass(frozen=True, slots=True)
-class DirectedGraph:
-    """A digraph on the positions of a ground set."""
-
-    ground: GroundSet
-    arcs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        n = self.ground.size
-        for u, v in self.arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"arc ({u}, {v}) references an invalid position")
-
-    def successors(self, pos: int) -> tuple[int, ...]:
-        return tuple(sorted(v for u, v in self.arcs if u == pos))
-
-    def predecessors(self, pos: int) -> tuple[int, ...]:
-        return tuple(sorted(u for u, v in self.arcs if v == pos))
-
-
 # -- operations -------------------------------------------------------------
 
 
@@ -222,25 +201,18 @@ def is_closed(base: ImplicationalBase, s: ElementSet) -> bool:
     return is_closed_mask(base, s.mask)
 
 
-def implication_graph(base: ImplicationalBase) -> DirectedGraph:
-    """The digraph with an arc from each premise element to its conclusion."""
-    arcs = {
-        (pos, imp.conclusion)
-        for imp in base.implications
-        for pos in imp.premise
-    }
-    return DirectedGraph(base.ground, frozenset(arcs))
+def implication_graph(base: ImplicationalBase) -> frozenset[tuple[int, int]]:
+    """The arcs of the digraph from each premise element to its conclusion."""
+    return frozenset(
+        (pos, imp.conclusion) for imp in base.implications for pos in imp.premise
+    )
 
 
 def is_acyclic(base: ImplicationalBase) -> bool:
     """True iff the implication graph has no directed cycle."""
-    succ: dict[int, set[int]] = {}
-    for imp in base.implications:
-        for pos in imp.premise:
-            succ.setdefault(pos, set()).add(imp.conclusion)
-    sorter: TopologicalSorter = TopologicalSorter(
-        {u: tuple(vs) for u, vs in succ.items()}
-    )
+    sorter: TopologicalSorter = TopologicalSorter()
+    for u, v in implication_graph(base):
+        sorter.add(u, v)
     try:
         sorter.prepare()
     except CycleError:

@@ -24,9 +24,6 @@ class RankFunction:
 
     ranks: tuple[int, ...]
 
-    def __getitem__(self, pos: int) -> int:
-        return self.ranks[pos]
-
     @property
     def max_rank(self) -> int:
         return max(self.ranks, default=0)

@@ -159,9 +159,6 @@ class ElementSet(Immutable):
             raise InputError(f"position {pos} outside universe")
         return ElementSet(self.universe, self.mask | (1 << pos))
 
-    def without_element(self, pos: int) -> "ElementSet":
-        return ElementSet(self.universe, self.mask & ~(1 << pos))
-
     def __le__(self, other: "ElementSet") -> bool:
         same_universe(self, other)
         return self.mask & ~other.mask == 0

@@ -194,6 +194,27 @@ def complement_hypergraph(
     return Hypergraph(vertices, edges)
 
 
+def recovered_premises(
+    m: MeetFamily,
+    j: int,
+    j_up: tuple[ElementSet, ...],
+    backend: DualizationBackend | None = None,
+) -> Iterator[int]:
+    """Stream the premise masks of the recovered rules concluding in `j`.
+
+    `j_up` is the block of ``partition_meets(m)`` for `j`, the members
+    avoiding `j`; with none, `j` has no rules.  The premises are the
+    minimal transversals of the complement hypergraph restricted to the
+    possible premise elements, in the order of the transversal stream.
+    """
+    if not j_up:
+        return
+    pred = predecessors(m, j, j_up)
+    restricted = induced(complement_hypergraph(m, j, j_up), pred)
+    for t in minimal_transversals(restricted, backend):
+        yield t.mask
+
+
 def iter_recovered_implications(
     m: MeetFamily,
     backend: DualizationBackend | None = None,
@@ -201,22 +222,15 @@ def iter_recovered_implications(
 ) -> Iterator[Implication]:
     """Stream the implications of the recovered base, conclusion by conclusion.
 
-    For each element j with at least one member avoiding it, the minimal
-    transversals of the complement hypergraph restricted to the possible
-    premise elements are emitted as rules concluding in j.  Output is
-    ordered by conclusion position, then by the transversal stream.
+    For each element j, the premises of :func:`recovered_premises` are
+    emitted as rules concluding in j, ordered by conclusion position.
     """
     if partition is None:
         partition = partition_meets(m)
-    for j in range(m.ground.size):
-        j_up = partition.get(j, ())
-        if not j_up:
-            continue
-        pred = predecessors(m, j, j_up)
-        hj = complement_hypergraph(m, j, j_up)
-        restricted = induced(hj, pred)
-        for t in minimal_transversals(restricted, backend):
-            yield Implication(t, j)
+    u = m.ground
+    for j in range(u.size):
+        for mask in recovered_premises(m, j, partition.get(j, ()), backend):
+            yield Implication(ElementSet(u, mask), j)
 
 
 def recover_critical_base(

@@ -19,7 +19,7 @@ def make_base(labels, rules):
 
 def equivalent_perturbation(rng, base):
     """Reorder `base` and pad it with entailed superset-premise implications."""
-    arcs = set(implication_graph(base).arcs)
+    arcs = set(implication_graph(base))
     order = {}
     remaining = set(range(base.ground.size))
     rank = 0

@@ -1,8 +1,19 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+from geodual import critical_base, formats
 from geodual.cli import main
+from geodual.oracle import meets_brute
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -40,9 +51,20 @@ class TestCcm:
         assert out.splitlines() == ["2", "."]
 
     def test_jobs_flag_matches_sequential(self, capsys, data_dir):
-        code1, out1, _ = run(capsys, "ccm", data_dir / "layered.imp")
-        code2, out2, _ = run(capsys, "ccm", data_dir / "layered.imp", "--jobs", "2")
-        assert (code1, out1) == (code2, out2)
+        for name in ("layered.imp", "rung.imp"):
+            for flags in ((), ("--by-element",), ("--json",)):
+                code1, out1, _ = run(capsys, "ccm", data_dir / name, *flags)
+                code2, out2, _ = run(capsys, "ccm", data_dir / name, *flags, "--jobs", "2")
+                assert code1 == 0 and out1
+                assert (code1, out1) == (code2, out2), (name, flags)
+
+    def test_rung_meets_match_oracle(self, capsys, data_dir):
+        code, out, _ = run(capsys, "ccm", data_dir / "rung.imp")
+        base = formats.read_imp(data_dir / "rung.imp")
+        brute = {formats.format_set(m) for m in meets_brute(base)}
+        assert code == 0
+        assert len(out.splitlines()) == len(brute) == 82
+        assert set(out.splitlines()) == brute
 
 
 class TestSid:
@@ -73,9 +95,17 @@ class TestSid:
         assert "bad.mf:2" in err
 
     def test_jobs_flag_matches_sequential(self, capsys, data_dir):
-        code1, out1, _ = run(capsys, "sid", data_dir / "layered.mf")
-        code2, out2, _ = run(capsys, "sid", data_dir / "layered.mf", "--jobs", "2")
-        assert (code1, out1) == (code2, out2)
+        for name in ("layered.mf", "rung.mf"):
+            code1, out1, _ = run(capsys, "sid", data_dir / name)
+            code2, out2, _ = run(capsys, "sid", data_dir / name, "--jobs", "2")
+            assert code1 == 0 and len(out1.splitlines()) > 1
+            assert (code1, out1) == (code2, out2), name
+
+    def test_rung_recovers_critical_base(self, capsys, data_dir):
+        code, out, _ = run(capsys, "sid", data_dir / "rung.mf")
+        expected = critical_base(formats.read_imp(data_dir / "rung.imp"))
+        assert code == 0
+        assert out == formats.format_imp(expected)
 
 
 class TestCriticalBase:
@@ -283,3 +313,85 @@ class TestDeterminism:
             return "".join(chunks).encode()
 
         assert run_all() == run_all()
+
+
+BAD_INPUT_COMMANDS = [
+    ("ccm", "{f}"),
+    ("sid", "{f}"),
+    ("critical-base", "{f}"),
+    ("rank-check", "{f}"),
+    ("dual-check", "{f}", "--plus", "{d}/bool2_plus.mf", "--minus", "{d}/bool2_minus.mf"),
+    ("reduce", "{f}", "--plus", "{d}/bool2_plus.mf", "--minus", "{d}/bool2_minus.mf",
+     "--out-base", "{t}/o.imp", "--out-meets", "{t}/o.mf"),
+    ("roundtrip", "{f}"),
+    ("oracle", "closed-sets", "{f}"),
+    ("oracle", "meets", "{f}"),
+    ("oracle", "joins", "{f}"),
+    ("oracle", "mingens", "{f}", "--target", "j"),
+    ("oracle", "transversals", "{f}"),
+    ("oracle", "partition", "{f}"),
+]
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("kind", ["binary", "directory", "unreadable"])
+    @pytest.mark.parametrize(
+        "command", BAD_INPUT_COMMANDS, ids=lambda c: "-".join(p for p in c[:2] if "{" not in p)
+    )
+    def test_unreadable_input_exits_1(
+        self, capsys, monkeypatch, data_dir, tmp_path, command, kind
+    ):
+        bad = tmp_path / f"{kind}.in"
+        if kind == "binary":
+            bad.write_bytes(b"elements: a b\n\x89PNG\r\n\x1a\n\x00\xff\xfe")
+        elif kind == "directory":
+            bad.mkdir()
+        else:
+            # File modes do not stop a superuser, so the denial is simulated.
+            read_bytes = Path.read_bytes
+
+            def denied(path):
+                if path == bad:
+                    raise PermissionError(13, "Permission denied", str(path))
+                return read_bytes(path)
+
+            monkeypatch.setattr(Path, "read_bytes", denied)
+        argv = [part.format(f=bad, d=data_dir, t=tmp_path) for part in command]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: {bad}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_closed_pipe_exits_quietly(self, tmp_path, jobs):
+        # No rules: 400 meets of about 1.5 kB each, far more than a 64 KiB
+        # pipe buffer holds.
+        big = tmp_path / "big.imp"
+        big.write_text("elements: " + " ".join(str(i) for i in range(1, 401)) + "\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "geodual.cli", "ccm", str(big), "--jobs", jobs],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.stdout.readline().startswith(b"2 3 4")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode == 1
+
+
+def test_cli_imports_no_private_names():
+    """CLI workers call the library's public per-element functions, never
+    private copies of them."""
+    tree = ast.parse((SRC / "geodual" / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "geodual")
+        for alias in node.names
+        if alias.name.startswith("_")
+        or any(part.startswith("_") for part in (node.module or "").split("."))
+    ]
+    assert private == []
