@@ -71,12 +71,13 @@ def _element_map(jobs: int):
 
     With one job it is the builtin `map`, so each element's stream is
     consumed lazily in process.  With more, each generator is drained to a
-    list by one of `jobs` worker processes.
+    list by one of `jobs` worker processes, but by no more workers than
+    there are CPUs: the pool starts all of its workers at once.
     """
     if jobs <= 1:
         yield map
         return
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
     try:
         yield lambda gen, *iterables: pool.map(partial(_drain, gen), *iterables)
     finally:
@@ -116,8 +117,7 @@ def cmd_sid(args) -> int:
         sys.stdout.flush()
         return 0
     _println("elements: " + " ".join(ground.labels))
-    part = partition_meets(family)
-    blocks = [part[j] for j in range(ground.size)]
+    blocks = partition_meets(family).values()
     with _element_map(args.jobs) as element_map:
         streams = element_map(partial(recovered_premises, family), range(ground.size), blocks)
         for j, masks in enumerate(streams):
@@ -248,16 +248,12 @@ def cmd_oracle(args) -> int:
         for j, fam in sorted(partition_meets(family).items()):
             for m in fam:
                 _println(f"{ground.labels[j]}: {formats.format_set(m)}")
-    elif args.oracle_command == "gen-ranked":
-        rng = random.Random(args.seed)
-        base = random_ranked_base(
-            rng, max_elements=args.max_elements, max_implications=args.max_implications
-        )
-        sys.stdout.write(formats.format_imp(base))
-    elif args.oracle_command == "gen-acyclic":
-        rng = random.Random(args.seed)
-        base = random_acyclic_base(
-            rng, max_elements=args.max_elements, max_implications=args.max_implications
+    elif args.oracle_command in ("gen-ranked", "gen-acyclic"):
+        generate = {"gen-ranked": random_ranked_base, "gen-acyclic": random_acyclic_base}
+        base = generate[args.oracle_command](
+            random.Random(args.seed),
+            max_elements=args.max_elements,
+            max_implications=args.max_implications,
         )
         sys.stdout.write(formats.format_imp(base))
     elif args.oracle_command == "gen-hypergraph":

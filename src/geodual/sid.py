@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import logging
 import warnings
+from functools import reduce
+from operator import and_
 from typing import Iterable, Iterator, Mapping
 
 from .ccm import meet_irreducibles
@@ -25,7 +27,7 @@ from .errors import (
 )
 from .hypergraphs import DualizationBackend, Hypergraph, induced, minimal_transversals
 from .implications import Implication, ImplicationalBase
-from .sets import ElementSet, GroundSet, Immutable
+from .sets import ElementSet, GroundSet, Immutable, iter_bits
 
 logger = logging.getLogger(__name__)
 
@@ -107,6 +109,30 @@ def closure_from_meets(m: MeetFamily, s: ElementSet) -> ElementSet:
     return ElementSet(m.ground, closure_from_meets_mask(m, s.mask))
 
 
+def _extension_closures(m: MeetFamily, xmask: int) -> list[int]:
+    """Closure of `xmask` plus a, for every position a, in one family pass.
+
+    Entry a is the intersection of the members containing both `xmask`
+    and a, or the whole ground set when none does; positions inside
+    `xmask` get the whole ground set.
+    """
+    n = m.ground.size
+    closures = [(1 << n) - 1] * n
+    for member in m.meets:
+        mm = member.mask
+        if not xmask & ~mm:
+            for a in iter_bits(mm & ~xmask):
+                closures[a] &= mm
+    return closures
+
+
+def _closed_extensions(m: MeetFamily, xmask: int) -> int:
+    """Mask of the positions outside `xmask` whose addition keeps it closed."""
+    closures = _extension_closures(m, xmask)
+    outside = iter_bits(~xmask & ((1 << m.ground.size) - 1))
+    return sum(1 << a for a in outside if closures[a] == xmask | 1 << a)
+
+
 def partition_meets(m: MeetFamily) -> dict[int, tuple[ElementSet, ...]]:
     """Assign every member to the unique j whose addition keeps it closed.
 
@@ -119,14 +145,7 @@ def partition_meets(m: MeetFamily) -> dict[int, tuple[ElementSet, ...]]:
     labels = m.ground.labels
     families: dict[int, list[ElementSet]] = {j: [] for j in range(n)}
     for member in m.meets:
-        candidates = []
-        for j in range(n):
-            jbit = 1 << j
-            if member.mask & jbit:
-                continue
-            extended = member.mask | jbit
-            if closure_from_meets_mask(m, extended) == extended:
-                candidates.append(j)
+        candidates = list(iter_bits(_closed_extensions(m, member.mask)))
         if len(candidates) != 1:
             named = ", ".join(labels[j] for j in candidates) or "none"
             raise NotConvexGeometryError(
@@ -149,8 +168,6 @@ def predecessors(
     yields the empty set.
     """
     j_up = tuple(j_up)
-    n = m.ground.size
-    jbit = 1 << j
     if not j_up:
         logger.info(
             "element %r avoids no member; it has no generators",
@@ -159,14 +176,7 @@ def predecessors(
         return ElementSet.empty(m.ground)
     found = 0
     for member in j_up:
-        mm = member.mask
-        for a in range(n):
-            abit = 1 << a
-            if a == j or mm & abit or found & abit:
-                continue
-            extended = mm | abit | jbit
-            if closure_from_meets_mask(m, extended) == extended:
-                found |= abit
+        found |= _closed_extensions(m, member.mask | 1 << j)
     return ElementSet(m.ground, found)
 
 
@@ -249,7 +259,17 @@ def recover_critical_base(
     compared with `m`, raising :class:`VerificationError` on mismatch.
     """
     if strict:
-        _check_meet_irreducibility(m)
+        # A member is reducible when it equals the intersection of the members
+        # strictly above it, which is that of its extensions' closures.
+        bogus = [
+            member for member in m.meets
+            if reduce(and_, _extension_closures(m, member.mask)) == member.mask
+        ]
+        if bogus:
+            raise InputError(
+                f"{len(bogus)} member(s) are not meet-irreducible in the family's "
+                f"intersection closure, e.g. {bogus[0]!r}"
+            )
     base = ImplicationalBase(m.ground, tuple(iter_recovered_implications(m, backend)))
     if verify:
         try:
@@ -265,19 +285,3 @@ def recover_critical_base(
                 "the input was not the meet family of a ranked convex geometry"
             )
     return base
-
-
-def _check_meet_irreducibility(m: MeetFamily) -> None:
-    from .oracle import family_meet_masks, intersection_closure
-
-    family = intersection_closure(m.ground, m.meets)
-    full = (1 << m.ground.size) - 1
-    true_meets = set(family_meet_masks(family, full))
-    given = {meet.mask for meet in m.meets}
-    bogus = given - true_meets
-    if bogus:
-        sample = ElementSet(m.ground, next(iter(bogus)))
-        raise InputError(
-            f"{len(bogus)} member(s) are not meet-irreducible in the family's "
-            f"intersection closure, e.g. {sample!r}"
-        )

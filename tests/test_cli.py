@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from geodual import critical_base, formats
+from geodual import ElementSet, GroundSet, critical_base, formats
 from geodual.cli import main
 from geodual.oracle import meets_brute
+from geodual.sets import MAX_GROUND_SIZE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -106,6 +107,33 @@ class TestSid:
         expected = critical_base(formats.read_imp(data_dir / "rung.imp"))
         assert code == 0
         assert out == formats.format_imp(expected)
+
+    def test_non_geometry_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "nongeo.mf"
+        f.write_text("elements: 1 2 3\n1\n.\n")
+        code, _, err = run(capsys, "sid", f)
+        assert code == 2
+        assert "member {1}" in err
+
+    def test_strict_rejects_reducible_member(self, capsys, data_dir, tmp_path):
+        # {3 5} is the intersection of the members {1 3 5} and {2 3 5}.
+        f = tmp_path / "reducible.mf"
+        f.write_text((data_dir / "layered.mf").read_text() + "3 5\n")
+        code, _, err = run(capsys, "sid", f, "--strict")
+        assert code == 1
+        assert err.startswith("error: 1 member(s) are not meet-irreducible")
+
+    @pytest.mark.parametrize("n", [70, 200])
+    def test_boolean_coatoms_beyond_64_elements(self, capsys, tmp_path, n):
+        # The coatoms of a Boolean lattice: every element is its own
+        # generator, so the recovered base has no rules.
+        ground = GroundSet(f"e{i}" for i in range(n))
+        coatoms = [ElementSet(ground, ((1 << n) - 1) & ~(1 << i)) for i in range(n)]
+        f = tmp_path / "coatoms.mf"
+        f.write_text(formats.format_mf(ground, coatoms))
+        header = "elements: " + " ".join(ground.labels) + "\n"
+        assert run(capsys, "sid", f) == (0, header, "")
+        assert run(capsys, "sid", f, "--strict") == (0, header, "")
 
 
 class TestCriticalBase:
@@ -334,7 +362,9 @@ BAD_INPUT_COMMANDS = [
 
 
 class TestInputContract:
-    @pytest.mark.parametrize("kind", ["binary", "directory", "unreadable"])
+    @pytest.mark.parametrize(
+        "kind", ["binary", "directory", "unreadable", "malformed", "oversized"]
+    )
     @pytest.mark.parametrize(
         "command", BAD_INPUT_COMMANDS, ids=lambda c: "-".join(p for p in c[:2] if "{" not in p)
     )
@@ -342,10 +372,16 @@ class TestInputContract:
         self, capsys, monkeypatch, data_dir, tmp_path, command, kind
     ):
         bad = tmp_path / f"{kind}.in"
+        header = "vertices:" if "transversals" in command else "elements:"
         if kind == "binary":
             bad.write_bytes(b"elements: a b\n\x89PNG\r\n\x1a\n\x00\xff\xfe")
         elif kind == "directory":
             bad.mkdir()
+        elif kind == "malformed":
+            # No `->` in an .imp rule; an unknown label in an .mf or .hg set.
+            bad.write_text(f"{header} a b\na z\n")
+        elif kind == "oversized":
+            bad.write_text(header + "".join(f" e{i}" for i in range(MAX_GROUND_SIZE + 1)))
         else:
             # File modes do not stop a superuser, so the denial is simulated.
             read_bytes = Path.read_bytes
@@ -395,3 +431,60 @@ def test_cli_imports_no_private_names():
         or any(part.startswith("_") for part in (node.module or "").split("."))
     ]
     assert private == []
+
+
+# The modules that `ccm` and `sid` run through: no definitional reference
+# code (`geodual.oracle`, exponential) and no numpy may be reached from them.
+TRANSLATION_MODULES = (
+    "ccm", "sid", "critical", "hypergraphs", "implications", "ranking",
+    "formats", "sets", "errors",
+)
+
+
+def test_translation_path_imports_no_oracle_or_numpy():
+    offenders = {}
+    for module in TRANSLATION_MODULES:
+        tree = ast.parse((SRC / "geodual" / f"{module}.py").read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                if node.level:
+                    source = "geodual" + (f".{source}" if source else "")
+                imported += [source] + [f"{source}.{alias.name}" for alias in node.names]
+        banned = [
+            name for name in imported
+            if name.split(".")[0] == "numpy" or name.startswith("geodual.oracle")
+        ]
+        if banned:
+            offenders[module] = banned
+    assert offenders == {}
+
+
+@pytest.mark.parametrize(
+    "command, cpus, workers",
+    [(("ccm", "layered.imp"), 3, 3), (("sid", "rung.mf"), None, 1)],
+)
+def test_jobs_capped_at_cpu_count(capsys, monkeypatch, data_dir, command, cpus, workers):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for `ProcessPoolExecutor`: records its size, starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr("geodual.cli.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    name, path = command[0], data_dir / command[1]
+    serial = run(capsys, name, path)
+    assert run(capsys, name, path, "--jobs", "5000") == serial
+    assert sizes == [workers]

@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import family, make_base, sets_of
+from conftest import DATA, family, make_base, sets_of
 from geodual import (
     DuplicateSetWarning,
     ElementSet,
+    GeodualError,
+    GroundSet,
     InputError,
     MeetFamily,
     NotConvexGeometryError,
@@ -16,13 +19,22 @@ from geodual import (
     closure_from_meets,
     complement_hypergraph,
     critical_base,
+    formats,
     meet_irreducibles,
     partition_meets,
     predecessors,
     recover_critical_base,
 )
 from geodual.hypergraphs import induced, minimal_transversals
-from geodual.oracle import meets_brute, mingens_brute, random_ranked_base
+from geodual.oracle import (
+    closed_set_masks,
+    family_meet_masks,
+    intersection_closure,
+    meets_brute,
+    mingens_brute,
+    random_acyclic_base,
+    random_ranked_base,
+)
 from geodual.sid import iter_recovered_implications
 
 
@@ -266,3 +278,103 @@ class TestRoundTrips:
                     if not is_redundant(base, MinimalGenerator(g, j)):
                         union |= g.mask
                 assert pred.mask == union
+
+
+# -- differential tests: the extension-closure kernel against the definitions
+
+
+def outcome(fn, *args, **kwargs):
+    """What `fn` returns, or the type of the library error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except GeodualError as exc:
+        return type(exc)
+
+
+def closed_extensions(fam, s):
+    """Positions outside `s` whose addition leaves it closed, by definition."""
+    return [
+        a
+        for a in range(fam.ground.size)
+        if a not in s and closure_from_meets(fam, s.with_element(a)) == s.with_element(a)
+    ]
+
+
+def partition_by_definition(fam):
+    part = {j: [] for j in range(fam.ground.size)}
+    for member in fam:
+        candidates = closed_extensions(fam, member)
+        if len(candidates) != 1:
+            raise NotConvexGeometryError("not exactly one closed extension")
+        part[candidates[0]].append(member)
+    return {j: tuple(block) for j, block in part.items()}
+
+
+def predecessors_by_definition(fam, j, j_up):
+    found = 0
+    for member in j_up:
+        for a in closed_extensions(fam, member.with_element(j)):
+            found |= 1 << a
+    return ElementSet(fam.ground, found)
+
+
+def strict_recovery_by_definition(fam, closed=None):
+    """`closed` is the intersection closure of `fam`, computed if not given."""
+    if closed is None:
+        closed = intersection_closure(fam.ground, fam.meets)
+    full = (1 << fam.ground.size) - 1
+    irreducible = set(family_meet_masks(closed, full))
+    if any(member.mask not in irreducible for member in fam):
+        raise InputError("a member is meet-reducible")
+    return recover_critical_base(fam)
+
+
+def assert_kernel_matches_definitions(fam, closed=None):
+    part = outcome(partition_meets, fam)
+    assert part == outcome(partition_by_definition, fam)
+    for j in range(fam.ground.size):
+        if isinstance(part, dict):
+            j_up = part[j]
+        else:
+            j_up = tuple(member for member in fam if j not in member)
+        assert predecessors(fam, j, j_up) == predecessors_by_definition(fam, j, j_up)
+    assert outcome(recover_critical_base, fam, strict=True) == outcome(
+        strict_recovery_by_definition, fam, closed
+    )
+
+
+@st.composite
+def meet_families(draw):
+    """Meet families of ranked and acyclic bases, the same with the
+    intersection of two members added, and arbitrary small families."""
+    kind = draw(st.sampled_from(["ranked", "acyclic", "arbitrary"]))
+    if kind == "arbitrary":
+        ground = GroundSet(str(i) for i in range(1, draw(st.integers(1, 6)) + 1))
+        full = (1 << ground.size) - 1
+        masks = draw(st.lists(st.integers(0, full - 1), max_size=10, unique=True))
+        return MeetFamily(ground, [ElementSet(ground, mask) for mask in masks])
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    generate = random_ranked_base if kind == "ranked" else random_acyclic_base
+    base = generate(rng, max_elements=7, max_implications=10)
+    meets = list(meets_brute(base))
+    if len(meets) >= 2 and draw(st.booleans()):
+        i, k = draw(st.lists(st.integers(0, len(meets) - 1), min_size=2, max_size=2))
+        meet = meets[i] & meets[k]
+        if meet not in meets:
+            meets.append(meet)
+    return MeetFamily(base.ground, meets)
+
+
+@settings(max_examples=60)
+@given(meet_families())
+def test_kernel_matches_definitions(fam):
+    assert_kernel_matches_definitions(fam)
+
+
+def test_kernel_matches_definitions_on_rung():
+    # rung.mf is the meet family of rung.imp, so its intersection closure is
+    # the closed-set family of that base: one exhaustive scan, where pairwise
+    # intersection of the 82 members takes over a minute.
+    ground, sets = formats.read_mf(DATA / "rung.mf")
+    closed = closed_set_masks(formats.read_imp(DATA / "rung.imp"))
+    assert_kernel_matches_definitions(MeetFamily(ground, sets), closed)
