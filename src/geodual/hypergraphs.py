@@ -15,7 +15,6 @@ from .sets import (
     ElementSet,
     GroundSet,
     Immutable,
-    iter_bits,
     minimal_masks,
     same_universe,
     sort_key_lex,
@@ -88,22 +87,42 @@ class DualizationBackend(Protocol):
 
 
 class BergeBackend:
-    """Sequential Berge multiplication with absorption after each edge."""
+    """Sequential Berge multiplication over an antichain, one edge at a time.
+
+    For the next edge e, the members meeting e stay, and each member t
+    missing e grows to ``t | 1<<v`` for every v in e unless some member h
+    meets e in v alone with ``h - {v}`` inside t: that is the only way
+    the new set can be absorbed, so the family is never re-minimized.
+    Edges may be raw (repeated, nested or empty).
+    """
 
     def transversal_masks(self, edges: Sequence[int]) -> list[int]:
-        partial: list[int] = [0]
+        family: list[int] = [0]
         for edge in edges:
             if edge == 0:
                 return []
-            extended: set[int] = set()
-            for t in partial:
-                if t & edge:
-                    extended.add(t)
-                else:
-                    for v in iter_bits(edge):
-                        extended.add(t | 1 << v)
-            partial = minimal_masks(extended)
-        return partial
+            kept, missing, guards = [], [], []
+            for t in family:
+                one = t & edge
+                if not one:
+                    missing.append(t)
+                    continue
+                kept.append(t)
+                if not one & (one - 1):
+                    guards.append((t ^ one, one))
+            for t in missing:
+                outside = ~t
+                blocked = 0
+                for rest, one in guards:
+                    if not rest & outside:
+                        blocked |= one
+                free = edge & ~blocked
+                while free:
+                    low = free & -free
+                    kept.append(t | low)
+                    free ^= low
+            family = kept
+        return family
 
 
 DEFAULT_BACKEND = BergeBackend()

@@ -184,20 +184,11 @@ def maximal_closed_avoiding(
 
 
 def intersection_closure(ground: GroundSet, sets: Iterable[ElementSet]) -> list[int]:
-    """Masks of the closure under intersection of `sets`, plus the top."""
-    full = (1 << ground.size) - 1
-    family = {full}
-    family.update(s.mask for s in sets)
-    frontier = list(family)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(family):
-                c = a & b
-                if c not in family:
-                    family.add(c)
-                    fresh.append(c)
-        frontier = fresh
+    """Masks of the closure under intersection of `sets`, plus the top,
+    grown one generator at a time."""
+    family = {(1 << ground.size) - 1}
+    for s in sets:
+        family |= {s.mask & f for f in family}
     return sorted(family, key=sort_key_size_lex)
 
 

@@ -5,10 +5,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import family
-from geodual import ElementSet, GroundSet, Hypergraph, InputError, induced
+from conftest import DATA, family
+from geodual import (
+    BergeBackend,
+    ElementSet,
+    GroundSet,
+    Hypergraph,
+    Implication,
+    ImplicationalBase,
+    InputError,
+    formats,
+    induced,
+    meet_irreducibles,
+)
 from geodual.hypergraphs import maximal_independent_sets, minimal_transversals
 from geodual.oracle import random_hypergraph, transversals_brute
+from geodual.sets import iter_bits, minimal_masks
 
 
 def hg(labels, *edges):
@@ -156,3 +168,94 @@ def test_streams_are_antichains(h):
     for i, a in enumerate(tr):
         for b in tr[i + 1 :]:
             assert not (a & b == a or a & b == b), "no transversal contains another"
+
+
+def berge_by_definition(edges):
+    """Berge multiplication that re-minimizes the whole family after each edge."""
+    partial = [0]
+    for edge in edges:
+        if edge == 0:
+            return []
+        extended = set()
+        for t in partial:
+            if t & edge:
+                extended.add(t)
+            else:
+                for v in iter_bits(edge):
+                    extended.add(t | 1 << v)
+        partial = minimal_masks(extended)
+    return partial
+
+
+def assert_berge_matches_definition(edges):
+    got = BergeBackend().transversal_masks(edges)
+    assert len(got) == len(set(got)), "no transversal is returned twice"
+    assert set(got) == set(berge_by_definition(edges))
+    return got
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """Unreduced edge lists: repeats, nested edges and empty edges included."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    full = (1 << n) - 1
+    edges = draw(st.lists(st.integers(min_value=0, max_value=full), max_size=10))
+    if edges and draw(st.booleans()):
+        e = draw(st.sampled_from(edges))
+        edges.append(e | draw(st.integers(min_value=0, max_value=full)))
+        edges.append(e)
+    return draw(st.permutations(edges))
+
+
+@settings(max_examples=60)
+@given(raw_edge_lists())
+def test_berge_matches_definition_on_raw_edges(edges):
+    assert_berge_matches_definition(edges)
+
+
+def test_berge_edge_cases():
+    assert assert_berge_matches_definition([]) == [0]
+    assert assert_berge_matches_definition([0b11, 0]) == []
+    assert sorted(assert_berge_matches_definition([0b011, 0b011, 0b111])) == [1, 2]
+
+
+class DifferentialBackend:
+    """Checks every call against the definition; counts the calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def transversal_masks(self, edges):
+        self.calls += 1
+        return assert_berge_matches_definition(list(edges))
+
+
+def layered_base(levels, width, rules_per, premise_size, seed):
+    """Level i holds positions i*width..; each rule's premise lies one level up."""
+    rng = random.Random(seed)
+    ground = GroundSet(str(pos + 1) for pos in range(levels * width))
+    rules = {}
+    for level in range(levels - 1):
+        upper = range((level + 1) * width, (level + 2) * width)
+        for concl in range(level * width, (level + 1) * width):
+            for _ in range(rules_per):
+                rules[sum(1 << pos for pos in rng.sample(upper, premise_size)), concl] = None
+    return ImplicationalBase(
+        ground, [Implication(ElementSet(ground, p), c) for p, c in rules]
+    )
+
+
+def assert_ccm_level_hypergraphs_match_definition(base):
+    backend = DifferentialBackend()
+    meets = sum(1 for _ in meet_irreducibles(base, backend))
+    assert meets and backend.calls
+
+
+def test_berge_matches_definition_on_rung_level_hypergraphs():
+    assert_ccm_level_hypergraphs_match_definition(formats.read_imp(DATA / "rung.imp"))
+
+
+def test_berge_matches_definition_on_wide_level_hypergraphs():
+    # 20 level hypergraphs of 10 four-vertex edges over 20 vertices, with
+    # families of up to 694 transversals: the ccm-wide shape, one size down
+    assert_ccm_level_hypergraphs_match_definition(layered_base(2, 20, 10, 4, seed=7))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import family, make_base, sets_of
-from geodual import ElementSet, PreconditionError, SizeGuardError, is_standard
+from geodual import ElementSet, PreconditionError, SizeGuardError, formats, is_standard
 from geodual.hypergraphs import Hypergraph
 from geodual.implications import is_acyclic
 from geodual.oracle import (
@@ -197,3 +197,10 @@ class TestIntersectionClosure:
         assert set(closed) == set(closed_set_masks(layered)), (
             "meets regenerate the whole closure system"
         )
+
+    def test_rung_meets_regenerate_closed_sets(self, data_dir):
+        # 82 meets whose closure has 24 711 sets: a closure quadratic in its
+        # own size takes minutes here, so this also guards the running time.
+        ground, sets = formats.read_mf(data_dir / "rung.mf")
+        closed = closed_set_masks(formats.read_imp(data_dir / "rung.imp"))
+        assert intersection_closure(ground, sets) == closed
