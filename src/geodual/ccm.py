@@ -74,11 +74,6 @@ def level_hypergraph(
     return Hypergraph(ElementSet(u, rho.level_mask(b.rank + 1)), edges)
 
 
-def _levels(rho: RankFunction, top: int) -> tuple[int, ...]:
-    """Masks of the ranks 0..top; the recursion stops at rank `top`."""
-    return tuple(rho.level_mask(r) for r in range(top + 1))
-
-
 def _seed(rho: RankFunction, rank: int, bmask: int) -> int:
     """Mask of the elements of rank at most `rank` outside `bmask`."""
     return sum(1 << pos for pos, r in enumerate(rho.ranks) if r <= rank) & ~bmask
@@ -107,27 +102,9 @@ def maximal_avoiding_sets(
     _check_ranked_set(rho, b)
     if c.mask & b.members.mask:
         raise PreconditionError("the accumulated region must avoid the target set")
-    levels = _levels(rho, max(rho.ranks, default=b.rank))
-    for mask in _recurse(base, levels, b.members.mask, b.rank, c.mask, backend):
+    streams = MeetsAvoiding(base, rho, backend)
+    for mask in streams._recurse(b.members.mask, b.rank, c.mask):
         yield ElementSet(base.ground, mask)
-
-
-def _recurse(
-    base: ImplicationalBase,
-    levels: tuple[int, ...],
-    bmask: int,
-    rank: int,
-    cmask: int,
-    backend: DualizationBackend | None,
-) -> Iterator[int]:
-    """Maximal closed supersets of `cmask` avoiding `bmask`, whose members
-    all have rank `rank`, ranks above it still open."""
-    if rank + 1 >= len(levels):
-        yield cmask
-        return
-    up = levels[rank + 1]
-    for s in independent_masks(up, _premises(base, bmask), backend):
-        yield from _recurse(base, levels, up & ~s, rank + 1, cmask | s, backend)
 
 
 def ranked(base: ImplicationalBase) -> RankFunction:
@@ -142,20 +119,54 @@ def ranked(base: ImplicationalBase) -> RankFunction:
     return rho
 
 
-def meets_avoiding(
-    base: ImplicationalBase,
-    rho: RankFunction,
-    j: int,
-    backend: DualizationBackend | None = None,
-) -> Iterator[int]:
-    """Stream the masks of the maximal closed sets avoiding the element `j`.
+class MeetsAvoiding:
+    """The meets of one ranked base, element by element.
 
-    `rho` must be the rank function of `base`, as :func:`ranked` returns
-    it; computing it once serves every element.
+    Called with an element j, it streams the masks of the maximal closed
+    sets avoiding j; `rho` must be a valid rank function of `base`, such
+    as the one :func:`ranked` returns.  The branches of a recursion node
+    depend only on the avoided set B and its rank, not on the region
+    gathered so far, and the same (B, rank) comes up again across
+    branches and elements: each instance dualizes its level hypergraph
+    once and keeps the branches for every later call.  Keep one instance
+    per base and backend.  A pickled copy starts with no branches kept.
     """
-    levels = _levels(rho, rho.max_rank)
-    rank, bit = rho.ranks[j], 1 << j
-    return _recurse(base, levels, bit, rank, _seed(rho, rank, bit), backend)
+
+    def __init__(
+        self,
+        base: ImplicationalBase,
+        rho: RankFunction,
+        backend: DualizationBackend | None = None,
+    ):
+        self.base = base
+        self.rho = rho
+        self.backend = backend
+        # Masks of the ranks 0..max; the recursion stops at the top rank.
+        self._levels = tuple(rho.level_mask(r) for r in range(rho.max_rank + 1))
+        self._branches: dict[tuple[int, int], list[int]] = {}
+
+    def __reduce__(self):
+        return type(self), (self.base, self.rho, self.backend)
+
+    def __call__(self, j: int) -> Iterator[int]:
+        rank, bit = self.rho.ranks[j], 1 << j
+        return self._recurse(bit, rank, _seed(self.rho, rank, bit))
+
+    def _recurse(self, bmask: int, rank: int, cmask: int) -> Iterator[int]:
+        """Maximal closed supersets of `cmask` avoiding `bmask`, whose
+        members all have rank `rank`, ranks above it still open."""
+        levels = self._levels
+        if rank + 1 >= len(levels):
+            yield cmask
+            return
+        up = levels[rank + 1]
+        # Keyed by the rank too: an empty B occurs at any rank.
+        branches = self._branches.get((bmask, rank))
+        if branches is None:
+            branches = independent_masks(up, _premises(self.base, bmask), self.backend)
+            self._branches[bmask, rank] = branches
+        for s in branches:
+            yield from self._recurse(up & ~s, rank + 1, cmask | s)
 
 
 def meet_irreducibles(
@@ -169,8 +180,8 @@ def meet_irreducibles(
     :class:`NotRankedError`, with the conflict attached, when the base
     admits no rank function.
     """
-    rho = ranked(base)
+    streams = MeetsAvoiding(base, ranked(base), backend)
     u = base.ground
     for j in range(u.size):
-        for mask in meets_avoiding(base, rho, j, backend):
+        for mask in streams(j):
             yield j, ElementSet(u, mask)

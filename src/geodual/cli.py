@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import formats
-from .ccm import meet_irreducibles, meets_avoiding, ranked
+from .ccm import MeetsAvoiding, meet_irreducibles, ranked
 from .critical import critical_base
 from .dualization import Antichain, check_dual, reduce_dual_to_cmi
 from .errors import (
@@ -32,16 +32,6 @@ from .errors import (
     VerificationError,
 )
 from .implications import Implication
-from .oracle import (
-    all_closed_sets,
-    joins_brute,
-    meets_brute,
-    mingens_brute,
-    random_acyclic_base,
-    random_hypergraph,
-    random_ranked_base,
-    transversals_brute,
-)
 from .ranking import RankFunction, compute_rank
 from .sets import ElementSet
 from .sid import MeetFamily, partition_meets, recover_critical_base, recovered_premises
@@ -89,23 +79,25 @@ def _element_map(jobs: int):
 
 def cmd_ccm(args) -> int:
     base = formats.read_imp(args.file)
-    rho = ranked(base)
-    ground = base.ground
-    labels = ground.labels
+    line = _meet_line(args, base.ground)
     with _element_map(args.jobs) as element_map:
-        streams = element_map(partial(meets_avoiding, base, rho), range(ground.size))
+        streams = element_map(MeetsAvoiding(base, ranked(base)), range(base.ground.size))
         for j, masks in enumerate(streams):
             for mask in masks:
-                _println(_meet_line(args, labels[j], ElementSet(ground, mask)))
+                _println(line(j, mask))
     return 0
 
 
-def _meet_line(args, label: str, meet: ElementSet) -> str:
+def _meet_line(args, ground):
+    """The output line of a meet, as a function of its element and its mask."""
+    labels = ground.labels
     if args.json:
-        return json.dumps({"element": label, "meet": list(meet.labels())})
+        return lambda j, mask: json.dumps(
+            {"element": labels[j], "meet": list(ElementSet(ground, mask).labels())}
+        )
     if args.by_element:
-        return f"{label}: {formats.format_set(meet)}"
-    return formats.format_set(meet)
+        return lambda j, mask: f"{labels[j]}: {formats.format_mask(ground, mask)}"
+    return lambda j, mask: formats.format_mask(ground, mask)
 
 
 def cmd_sid(args) -> int:
@@ -225,6 +217,18 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # Imported here: the oracle pulls in numpy, which no other command needs.
+    from .oracle import (
+        all_closed_sets,
+        joins_brute,
+        meets_brute,
+        mingens_brute,
+        random_acyclic_base,
+        random_hypergraph,
+        random_ranked_base,
+        transversals_brute,
+    )
+
     needs_file = args.oracle_command not in ("gen-ranked", "gen-acyclic", "gen-hypergraph")
     if needs_file and not args.file:
         raise InputError(f"oracle {args.oracle_command} requires an input file")

@@ -15,7 +15,6 @@ from typing import Iterable
 
 from .errors import InputError, PreconditionError, RelabelWarning
 from .implications import Implication, ImplicationalBase, is_closed_mask
-from .oracle import closed_set_masks, family_meet_masks, meets_brute
 from .sets import ElementSet, GroundSet, Immutable, maximal_masks, sort_key_size_lex
 from .sid import MeetFamily
 
@@ -71,6 +70,8 @@ def check_dual(base: ImplicationalBase, bplus: Antichain, bminus: Antichain) -> 
     disjoint and together cover all closed sets.  Decided by brute force
     over the whole lattice, so intended for small instances only.
     """
+    from .oracle import closed_set_masks
+
     _check_same_base(base, bplus, "positive")
     _check_same_base(base, bminus, "negative")
     closed = closed_set_masks(base)
@@ -126,6 +127,8 @@ def reduce_dual_to_cmi(
                 "negative antichain members must be nonempty to become premises"
             )
     if meets is None:
+        from .oracle import meets_brute
+
         meets = MeetFamily(base.ground, meets_brute(base))
     elif meets.ground != base.ground:
         raise InputError("meet family lives on a different ground set")
@@ -156,6 +159,8 @@ def is_meet_family(base: ImplicationalBase, m: MeetFamily) -> bool:
     Decided against the brute-force meet family; intended for small
     instances.
     """
+    from .oracle import closed_set_masks, family_meet_masks
+
     if m.ground != base.ground:
         raise InputError("meet family lives on a different ground set")
     full = (1 << base.ground.size) - 1

@@ -106,11 +106,11 @@ def read_imp(path) -> ImplicationalBase:
 
 
 def format_imp(base: ImplicationalBase) -> str:
-    lines = ["elements: " + " ".join(base.ground.labels)]
-    labels = base.ground.labels
+    ground = base.ground
+    lines = ["elements: " + " ".join(ground.labels)]
     for imp in base.implications:
-        lhs = " ".join(labels[i] for i in imp.premise)
-        lines.append(f"{lhs} -> {labels[imp.conclusion]}")
+        lhs = ground.join_labels(imp.premise.mask)
+        lines.append(f"{lhs} -> {ground.labels[imp.conclusion]}")
     return "\n".join(lines) + "\n"
 
 
@@ -143,8 +143,13 @@ def read_mf(path) -> tuple[GroundSet, tuple[ElementSet, ...]]:
     return parse_mf(_read_text(path), source=str(path))
 
 
+def format_mask(ground: GroundSet, mask: int) -> str:
+    """A set as a line: its labels in position order, or `.` when empty."""
+    return ground.join_labels(mask) or EMPTY_SET_TOKEN
+
+
 def format_set(s: ElementSet) -> str:
-    return " ".join(s.labels()) if s else EMPTY_SET_TOKEN
+    return format_mask(s.universe, s.mask)
 
 
 def format_mf(ground: GroundSet, sets: Iterable[ElementSet]) -> str:

@@ -58,9 +58,8 @@ class Implication(Immutable):
         return (self.conclusion, bits_tuple(self.premise.mask))
 
     def __repr__(self) -> str:
-        labs = self.universe.labels
-        lhs = " ".join(labs[i] for i in self.premise)
-        return f"{lhs} -> {labs[self.conclusion]}"
+        lhs = self.universe.join_labels(self.premise.mask)
+        return f"{lhs} -> {self.universe.labels[self.conclusion]}"
 
 
 def implication(universe: GroundSet, premise_labels: Iterable[str], conclusion_label: str) -> Implication:

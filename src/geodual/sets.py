@@ -40,7 +40,7 @@ class GroundSet(Immutable):
     used at the parsing and printing boundary.
     """
 
-    __slots__ = ("labels", "index")
+    __slots__ = ("labels", "index", "_tables")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -62,6 +62,10 @@ class GroundSet(Immutable):
             index[label] = pos
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_tables", [None] * -(-len(labels) // 8))
+
+    def __reduce__(self):
+        return type(self), (self.labels,)
 
     @property
     def size(self) -> int:
@@ -78,6 +82,31 @@ class GroundSet(Immutable):
 
     def __repr__(self) -> str:
         return f"GroundSet({' '.join(self.labels)})"
+
+    def join_labels(self, mask: int) -> str:
+        """The labels of the positions in `mask`, ascending, joined by spaces.
+
+        Each nonzero byte of the mask is looked up in the table of its
+        eight positions, which holds the joined labels of every byte value
+        and is built the first time that byte position is needed: a set
+        costs one lookup per byte of the ground set.
+        """
+        tables = self._tables
+        return " ".join([
+            (tables[chunk] or self._table(chunk))[byte]
+            for chunk, byte in enumerate(mask.to_bytes(len(tables), "little"))
+            if byte
+        ])
+
+    def _table(self, chunk: int) -> list[str]:
+        labels = self.labels[8 * chunk : 8 * chunk + 8]
+        table = [""]
+        for byte in range(1, 1 << len(labels)):
+            low = byte & -byte
+            head, rest = labels[low.bit_length() - 1], table[byte ^ low]
+            table.append(f"{head} {rest}" if rest else head)
+        self._tables[chunk] = table
+        return table
 
     def position(self, label: str) -> int:
         """Position of `label`, raising :class:`InputError` if unknown."""
@@ -208,8 +237,7 @@ class ElementSet(Immutable):
         return tuple(labs[i] for i in iter_bits(self.mask))
 
     def __repr__(self) -> str:
-        inner = " ".join(self.labels())
-        return "{" + inner + "}"
+        return "{" + self.universe.join_labels(self.mask) + "}"
 
 
 # -- raw mask helpers -----------------------------------------------------

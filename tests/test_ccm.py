@@ -4,14 +4,17 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import family, make_base, sets_of
+from conftest import DATA, family, make_base, sets_of
 from geodual import (
+    BergeBackend,
     ElementSet,
     NotRankedError,
     PreconditionError,
     RankedSet,
     compute_rank,
+    formats,
     level_hypergraph,
     maximal_avoiding_sets,
     meet_irreducibles,
@@ -211,3 +214,69 @@ class TestPartitionProperties:
                 b = RankedSet(ElementSet.of(base.ground, [j]), rho.ranks[j])
                 for m in maximal_avoiding_sets(base, rho, b, seed_region(base, rho, b)):
                     assert m.mask in meets
+
+
+# -- one dualization per avoided set and rank -----------------------------------
+
+
+def recursion_by_definition(base, rho, b, c, visited):
+    """The ccm recursion with no memo: it dualizes the level hypergraph of
+    every node it reaches, and adds the node's (B, rank) to `visited`."""
+    if b.rank >= rho.max_rank:
+        yield c.mask
+        return
+    visited.add((b.members.mask, b.rank))
+    h = level_hypergraph(base, rho, b)
+    for s in maximal_independent_sets(h):
+        yield from recursion_by_definition(
+            base, rho, RankedSet(h.vertices - s, b.rank + 1), c | s, visited
+        )
+
+
+def meets_by_definition(base, visited):
+    """``(j, mask)`` pairs in the order `meet_irreducibles` yields them."""
+    rho = compute_rank(base)
+    for j in range(base.ground.size):
+        b = RankedSet(ElementSet.of(base.ground, [j]), rho.ranks[j])
+        for mask in recursion_by_definition(base, rho, b, seed_region(base, rho, b), visited):
+            yield j, mask
+
+
+class CountingBackend:
+    def __init__(self):
+        self.calls = 0
+
+    def transversal_masks(self, edges):
+        self.calls += 1
+        return BergeBackend().transversal_masks(edges)
+
+
+@pytest.mark.parametrize("name", ["rung.imp", "layered.imp"])
+def test_one_dualization_per_avoided_set_and_rank(name):
+    base = formats.read_imp(DATA / name)
+    visited = set()
+    expected = list(meets_by_definition(base, visited))
+    backend = CountingBackend()
+    assert [(j, m.mask) for j, m in meet_irreducibles(base, backend)] == expected
+    assert backend.calls == len(visited)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_memoized_recursion_matches_definition(seed):
+    rng = random.Random(seed)
+    base = random_ranked_base(rng, max_elements=9, max_implications=14)
+    got = [(j, m.mask) for j, m in meet_irreducibles(base)]
+    assert got == list(meets_by_definition(base, set()))
+    brute = {m.mask for m in meets_brute(base)}
+    assert len(got) == len(brute) and {mask for _, mask in got} == brute
+    # From any ranked set B, including the empty one, at any rank.
+    rho = compute_rank(base)
+    rank = rng.randrange(rho.max_rank + 1)
+    level = [p for p, r in enumerate(rho.ranks) if r == rank]
+    members = rng.sample(level, rng.randint(0, len(level)))
+    b = RankedSet(ElementSet.of(base.ground, members), rank)
+    c = seed_region(base, rho, b)
+    assert [m.mask for m in maximal_avoiding_sets(base, rho, b, c)] == list(
+        recursion_by_definition(base, rho, b, c, set())
+    )

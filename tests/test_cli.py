@@ -488,3 +488,23 @@ def test_jobs_capped_at_cpu_count(capsys, monkeypatch, data_dir, command, cpus, 
     serial = run(capsys, name, path)
     assert run(capsys, name, path, "--jobs", "5000") == serial
     assert sizes == [workers]
+
+
+def test_translation_commands_leave_numpy_unimported(data_dir):
+    """Only the oracle needs numpy; `ccm` and `sid` start without it."""
+    script = (
+        "import sys\n"
+        "import geodual.cli\n"
+        "assert 'numpy' not in sys.modules, 'import geodual.cli'\n"
+        "for argv in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    assert geodual.cli.main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+    )
+    argv = ["ccm", data_dir / "rung.imp", "sid", data_dir / "rung.mf"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr

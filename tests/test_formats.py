@@ -1,12 +1,17 @@
 """Text format parsing, writing, and error reporting."""
 
+import pickle
+import random
+
 import pytest
 
-from geodual import ElementSet, InputError
+from geodual import ElementSet, GroundSet, InputError
 from geodual.formats import (
     format_hg,
     format_imp,
+    format_mask,
     format_mf,
+    format_set,
     parse_hg,
     parse_imp,
     parse_mf,
@@ -111,3 +116,22 @@ class TestWriting:
         ground = chain.ground
         text = format_mf(ground, [ElementSet.empty(ground)])
         assert text == "elements: 1 2\n.\n"
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 4096])
+def test_format_mask_at_chunk_edges(n):
+    ground = GroundSet(f"v{i}" for i in range(n))
+    full = (1 << n) - 1
+    last_chunk = full & ~((1 << (n - 1) // 8 * 8) - 1)
+    rng = random.Random(n)
+    top = 1 << (n - 1)
+    masks = [1, top, 1 | top, 0xFF & full, last_chunk, full]
+    masks += [rng.getrandbits(n) for _ in range(20)]
+    masks += [m | 1 | top for m in masks[-10:]]
+    copy = pickle.loads(pickle.dumps(ground))
+    for mask in masks:
+        expected = " ".join(ground.labels[i] for i in range(n) if mask >> i & 1) or "."
+        assert format_mask(ground, mask) == expected
+        assert format_set(ElementSet(ground, mask)) == expected
+        assert format_mask(copy, mask) == expected
+    assert format_mask(ground, 0) == format_set(ElementSet.empty(ground)) == "."
