@@ -148,17 +148,26 @@ class ElementSet(Immutable):
 
     @classmethod
     def of(cls, universe: GroundSet, positions: Iterable[int] = ()) -> "ElementSet":
-        mask = 0
         n = universe.size
+        positions = list(positions)
+        if positions and not (0 <= min(positions) and max(positions) < n):
+            bad = next(pos for pos in positions if not 0 <= pos < n)
+            raise InputError(f"position {bad} outside universe of size {n}")
+        # Marking the positions in a string of binary digits read once is
+        # linear in n; or-ing in one bit at a time copies the mask each time.
+        digits = bytearray(b"0" * n)
         for pos in positions:
-            if not 0 <= pos < n:
-                raise InputError(f"position {pos} outside universe of size {n}")
-            mask |= 1 << pos
-        return cls(universe, mask)
+            digits[pos] = 49  # ord("1")
+        return cls(universe, int(digits[::-1], 2) if n else 0)
 
     @classmethod
     def from_labels(cls, universe: GroundSet, labels: Iterable[str]) -> "ElementSet":
-        return cls.of(universe, (universe.position(lab) for lab in labels))
+        try:
+            positions = list(map(universe.index.__getitem__, labels))
+        except KeyError as exc:
+            universe.position(exc.args[0])  # raises the unknown-label error
+            raise
+        return cls.of(universe, positions)
 
     @classmethod
     def empty(cls, universe: GroundSet) -> "ElementSet":

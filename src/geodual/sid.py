@@ -7,15 +7,21 @@ the maximal closed sets avoiding j.  The premises of the recovered rules
 concluding in j are then exactly the minimal transversals of the
 complement hypergraph of that family, restricted to the elements that
 can take part in such a premise.
+
+Both the assignment and the restriction ask which sets stay closed.  They
+are answered from an index of the family by element (``_index``): for
+each element, the members containing it and the members missing it, as
+bit masks over member positions.  The members containing a set X are
+then the AND of the rows of its elements, and an element b lies in the
+closure of X exactly when no member containing X misses b, so no query
+scans the family.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
-from functools import reduce
-from operator import and_
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .ccm import meet_irreducibles
 from .errors import (
@@ -41,7 +47,7 @@ class MeetFamily(Immutable):
     :func:`recover_critical_base`), since the input is normally trusted.
     """
 
-    __slots__ = ("ground", "meets")
+    __slots__ = ("ground", "meets", "_index")
 
     def __init__(self, ground: GroundSet, meets: Iterable[ElementSet] = ()):
         full = (1 << ground.size) - 1
@@ -68,6 +74,14 @@ class MeetFamily(Immutable):
             )
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "meets", tuple(kept))
+        # The member index of `sid`, built on first use; see `_index`.
+        object.__setattr__(self, "_index", None)
+
+    def __getstate__(self):
+        # The index stays out of pickles, and a copy rebuilds it on first use:
+        # it can be larger than the family, which `sid --jobs` pickles into
+        # every task.
+        return {"ground": self.ground, "meets": self.meets, "_index": None}
 
     def __len__(self) -> int:
         return len(self.meets)
@@ -109,28 +123,128 @@ def closure_from_meets(m: MeetFamily, s: ElementSet) -> ElementSet:
     return ElementSet(m.ground, closure_from_meets_mask(m, s.mask))
 
 
-def _extension_closures(m: MeetFamily, xmask: int) -> list[int]:
-    """Closure of `xmask` plus a, for every position a, in one family pass.
+class _Index(NamedTuple):
+    """The family by element, in the vertical layout of Zaki's Eclat.
 
-    Entry a is the intersection of the members containing both `xmask`
-    and a, or the whole ground set when none does; positions inside
-    `xmask` get the whole ground set.
+    Bit i of ``cont[a]`` says that member i contains element a, and
+    ``miss[a]`` holds the members that do not; ``members`` are the member
+    masks in family order.
     """
-    n = m.ground.size
-    closures = [(1 << n) - 1] * n
-    for member in m.meets:
-        mm = member.mask
-        if not xmask & ~mm:
-            for a in iter_bits(mm & ~xmask):
-                closures[a] &= mm
-    return closures
+
+    members: tuple[int, ...]
+    cont: list[int]
+    miss: list[int]
 
 
-def _closed_extensions(m: MeetFamily, xmask: int) -> int:
-    """Mask of the positions outside `xmask` whose addition keeps it closed."""
-    closures = _extension_closures(m, xmask)
-    outside = iter_bits(~xmask & ((1 << m.ground.size) - 1))
-    return sum(1 << a for a in outside if closures[a] == xmask | 1 << a)
+def _index(m: MeetFamily) -> _Index:
+    """The index of `m`, built on first use and kept on the family.
+
+    A member enters from its smaller side: one at most half full sets its
+    bit in the rows of its elements, a fuller one in the complement rows
+    of the elements it misses, so building costs the sum over the members
+    of min(|M|, n - |M|) bit settings.
+    """
+    ix = m._index
+    if ix is None:
+        n = m.ground.size
+        full = (1 << n) - 1
+        members = tuple(member.mask for member in m.meets)
+        cont, miss = [0] * n, [0] * n
+        dense = 0
+        for i, mm in enumerate(members):
+            bit = 1 << i
+            if 2 * mm.bit_count() > n:
+                dense |= bit
+                for a in iter_bits(full ^ mm):
+                    miss[a] |= bit
+            else:
+                for a in iter_bits(mm):
+                    cont[a] |= bit
+        everyone = (1 << len(members)) - 1
+        cont = [c | dense & ~x for c, x in zip(cont, miss)]
+        ix = _Index(members, cont, [everyone ^ c for c in cont])
+        object.__setattr__(m, "_index", ix)
+    return ix
+
+
+def _containing(ix: _Index, xmask: int) -> int:
+    """The members containing `xmask`, as a mask over member positions.
+
+    That is the AND of the rows of the elements of `xmask`.  When fewer
+    elements lie outside `xmask` than inside, the OR of their complement
+    rows is tried first: a member containing `xmask` misses some element
+    outside it, since none is the whole ground set, so the OR holds every
+    such member, and they are found by a subset test per candidate when
+    there are fewer candidates than rows to AND.
+    """
+    n = len(ix.cont)
+    inside = xmask.bit_count()
+    if 2 * inside > n:
+        candidates = 0
+        for a in iter_bits(((1 << n) - 1) ^ xmask):
+            candidates |= ix.miss[a]
+        if candidates.bit_count() < inside:
+            members = ix.members
+            return sum(1 << i for i in iter_bits(candidates) if not xmask & ~members[i])
+    found = (1 << len(ix.members)) - 1
+    for a in iter_bits(xmask):
+        found &= ix.cont[a]
+    return found
+
+
+def _common(ix: _Index, s: int, within: int) -> int:
+    """The elements of `within` that every member of the mask `s` contains.
+
+    The masks of the members of `s` are ANDed when there are no more of
+    them than elements of `within`; otherwise each element's complement
+    row is tested against `s`.
+    """
+    if s.bit_count() <= within.bit_count():
+        members = ix.members
+        for i in iter_bits(s):
+            within &= members[i]
+            if not within:
+                break
+        return within
+    miss = ix.miss
+    return sum(1 << b for b in iter_bits(within) if not s & miss[b])
+
+
+def _closed_extensions(ix: _Index, outside: int, s: int, tested: int) -> int:
+    """The positions of `tested` whose addition leaves the set X closed.
+
+    `outside` is the complement of X, `s` the members containing X, and
+    `tested` lies inside `outside`.  X plus a is closed exactly when every
+    element outside it is missed by some member containing it, or, when no
+    member contains it, when it is the whole ground set.  The test for a
+    stops at the first element outside X plus a that every member
+    containing X plus a contains, which ends most tests early.
+    """
+    cont, miss = ix.cont, ix.miss
+    found = 0
+    for a in iter_bits(tested):
+        abit = 1 << a
+        c = s & cont[a]
+        if all(c & miss[b] for b in iter_bits(outside ^ abit)) if c else outside == abit:
+            found |= abit
+    return found
+
+
+def _upper_covers(m: MeetFamily) -> Iterator[tuple[ElementSet, int, int]]:
+    """Each member M in family order, with the members strictly above it
+    and what their intersection adds to M.
+
+    The intersection of the members strictly above M, or the ground set
+    when there are none, lies inside every closed set strictly above M.
+    So when it adds one element j to M, M plus j is the only closed
+    single-element extension of M; when it adds more, there is none; when
+    it adds nothing, M is the intersection of the members above it.
+    """
+    ix = _index(m)
+    full = (1 << m.ground.size) - 1
+    for i, member in enumerate(m.meets):
+        above = _containing(ix, member.mask) ^ 1 << i
+        yield member, above, _common(ix, above, full ^ member.mask)
 
 
 def partition_meets(m: MeetFamily) -> dict[int, tuple[ElementSet, ...]]:
@@ -144,16 +258,21 @@ def partition_meets(m: MeetFamily) -> dict[int, tuple[ElementSet, ...]]:
     n = m.ground.size
     labels = m.ground.labels
     families: dict[int, list[ElementSet]] = {j: [] for j in range(n)}
-    for member in m.meets:
-        candidates = list(iter_bits(_closed_extensions(m, member.mask)))
-        if len(candidates) != 1:
-            named = ", ".join(labels[j] for j in candidates) or "none"
+    full = (1 << n) - 1
+    for member, above, added in _upper_covers(m):
+        if added:
+            candidates = 0 if added & (added - 1) else added
+        else:
+            outside = full ^ member.mask
+            candidates = _closed_extensions(_index(m), outside, above, outside)
+        if candidates.bit_count() != 1:
+            named = ", ".join(labels[j] for j in iter_bits(candidates)) or "none"
             raise NotConvexGeometryError(
                 f"not a convex-geometry meet family: member {member!r} stays "
-                f"closed under {len(candidates)} single-element extensions "
+                f"closed under {candidates.bit_count()} single-element extensions "
                 f"({named}), expected exactly one"
             )
-        families[candidates[0]].append(member)
+        families[candidates.bit_length() - 1].append(member)
     return {j: tuple(fam) for j, fam in families.items()}
 
 
@@ -174,9 +293,13 @@ def predecessors(
             m.ground.labels[j],
         )
         return ElementSet.empty(m.ground)
+    ix = _index(m)
+    full = (1 << m.ground.size) - 1
     found = 0
     for member in j_up:
-        found |= _closed_extensions(m, member.mask | 1 << j)
+        xmask = member.mask | 1 << j
+        outside = full ^ xmask
+        found |= _closed_extensions(ix, outside, _containing(ix, xmask), outside & ~found)
     return ElementSet(m.ground, found)
 
 
@@ -260,11 +383,8 @@ def recover_critical_base(
     """
     if strict:
         # A member is reducible when it equals the intersection of the members
-        # strictly above it, which is that of its extensions' closures.
-        bogus = [
-            member for member in m.meets
-            if reduce(and_, _extension_closures(m, member.mask)) == member.mask
-        ]
+        # strictly above it; with none above, that is the ground set.
+        bogus = [member for member, _, added in _upper_covers(m) if not added]
         if bogus:
             raise InputError(
                 f"{len(bogus)} member(s) are not meet-irreducible in the family's "

@@ -123,7 +123,7 @@ class TestSid:
         assert code == 1
         assert err.startswith("error: 1 member(s) are not meet-irreducible")
 
-    @pytest.mark.parametrize("n", [70, 200])
+    @pytest.mark.parametrize("n", [70, 200, 4096])
     def test_boolean_coatoms_beyond_64_elements(self, capsys, tmp_path, n):
         # The coatoms of a Boolean lattice: every element is its own
         # generator, so the recovered base has no rules.

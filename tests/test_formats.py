@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from geodual import ElementSet, GroundSet, InputError
+from geodual import ElementSet, GroundSet, InputError, MeetFamily, partition_meets
 from geodual.formats import (
     format_hg,
     format_imp,
@@ -135,3 +135,14 @@ def test_format_mask_at_chunk_edges(n):
         assert format_set(ElementSet(ground, mask)) == expected
         assert format_mask(copy, mask) == expected
     assert format_mask(ground, 0) == format_set(ElementSet.empty(ground)) == "."
+
+
+def test_meet_family_pickles_before_and_after_its_index(data_dir):
+    # `sid --jobs` pickles the family into every task, after the partition
+    # has built the family's member index.
+    family = MeetFamily(*read_mf(data_dir / "rung.mf"))
+    fresh = pickle.loads(pickle.dumps(family))
+    partition = partition_meets(family)
+    built = pickle.loads(pickle.dumps(family))
+    assert fresh == family == built
+    assert partition_meets(fresh) == partition_meets(built) == partition

@@ -51,6 +51,13 @@ class TestElementSet:
         with pytest.raises(InputError):
             ElementSet(g, 1 << 2)
 
+    def test_first_bad_position_or_label_named(self):
+        g = GroundSet(["a", "b"])
+        with pytest.raises(InputError, match="position -1 outside universe of size 2"):
+            ElementSet.of(g, [1, -1, 5])
+        with pytest.raises(InputError, match="unknown element label 'z'"):
+            ElementSet.from_labels(g, ["a", "z", "y"])
+
     def test_universe_mismatch(self):
         s = ElementSet.full(GroundSet(["a", "b"]))
         t = ElementSet.full(GroundSet(["a", "c"]))
@@ -61,6 +68,16 @@ class TestElementSet:
         s = ElementSet.of(GroundSet(["a", "b"]), [0])
         t = ElementSet.of(GroundSet(["a", "b"]), [1])
         assert (s | t) == ElementSet.full(s.universe)
+
+
+@given(st.data())
+def test_of_and_from_labels_set_exactly_the_given_positions(data):
+    n = data.draw(st.integers(0, 300))
+    positions = data.draw(st.lists(st.integers(0, n - 1))) if n else []
+    g = GroundSet(f"x{i}" for i in range(n))
+    mask = sum(1 << pos for pos in set(positions))
+    assert ElementSet.of(g, positions).mask == mask
+    assert ElementSet.from_labels(g, (g.labels[pos] for pos in positions)).mask == mask
 
 
 @st.composite

@@ -1,6 +1,9 @@
 """Base recovery from meet families."""
 
 import random
+from functools import reduce
+from operator import and_
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,8 @@ from geodual import (
     ElementSet,
     GeodualError,
     GroundSet,
+    Implication,
+    ImplicationalBase,
     InputError,
     MeetFamily,
     NotConvexGeometryError,
@@ -35,6 +40,7 @@ from geodual.oracle import (
     random_acyclic_base,
     random_ranked_base,
 )
+from geodual.sets import iter_bits
 from geodual.sid import iter_recovered_implications
 
 
@@ -280,15 +286,89 @@ class TestRoundTrips:
                 assert pred.mask == union
 
 
-# -- differential tests: the extension-closure kernel against the definitions
+# -- differential tests: the member-index kernel against the family scan it
+# replaced, and both against the definitions
+
+
+class Raised(NamedTuple):
+    type: type
+    message: str
 
 
 def outcome(fn, *args, **kwargs):
-    """What `fn` returns, or the type of the library error it raises."""
+    """What `fn` returns, or the type and message of the library error it raises."""
     try:
         return fn(*args, **kwargs)
     except GeodualError as exc:
-        return type(exc)
+        return Raised(type(exc), str(exc))
+
+
+def without_message(result):
+    """An outcome without the error message, which the definitions do not share."""
+    return result.type if isinstance(result, Raised) else result
+
+
+def extension_closures(fam, xmask):
+    """Closure of `xmask` plus a, for every position a, in one family pass.
+
+    Entry a is the intersection of the members containing both `xmask`
+    and a, or the whole ground set when none does; positions inside
+    `xmask` get the whole ground set.  This scan drove partition,
+    predecessors and --strict before the member index.
+    """
+    n = fam.ground.size
+    closures = [(1 << n) - 1] * n
+    for member in fam.meets:
+        mm = member.mask
+        if not xmask & ~mm:
+            for a in iter_bits(mm & ~xmask):
+                closures[a] &= mm
+    return closures
+
+
+def closed_extensions_by_scan(fam, xmask):
+    """Mask of the positions outside `xmask` whose addition keeps it closed."""
+    closures = extension_closures(fam, xmask)
+    outside = iter_bits(~xmask & ((1 << fam.ground.size) - 1))
+    return sum(1 << a for a in outside if closures[a] == xmask | 1 << a)
+
+
+def partition_by_scan(fam):
+    labels = fam.ground.labels
+    part = {j: [] for j in range(fam.ground.size)}
+    for member in fam:
+        candidates = list(iter_bits(closed_extensions_by_scan(fam, member.mask)))
+        if len(candidates) != 1:
+            named = ", ".join(labels[j] for j in candidates) or "none"
+            raise NotConvexGeometryError(
+                f"not a convex-geometry meet family: member {member!r} stays "
+                f"closed under {len(candidates)} single-element extensions "
+                f"({named}), expected exactly one"
+            )
+        part[candidates[0]].append(member)
+    return {j: tuple(block) for j, block in part.items()}
+
+
+def predecessors_by_scan(fam, j, j_up):
+    found = 0
+    for member in j_up:
+        found |= closed_extensions_by_scan(fam, member.mask | 1 << j)
+    return ElementSet(fam.ground, found)
+
+
+def strict_recovery_by_scan(fam):
+    # A member is reducible when it equals the intersection of the members
+    # strictly above it, which is that of its extensions' closures.
+    bogus = [
+        member for member in fam
+        if reduce(and_, extension_closures(fam, member.mask)) == member.mask
+    ]
+    if bogus:
+        raise InputError(
+            f"{len(bogus)} member(s) are not meet-irreducible in the family's "
+            f"intersection closure, e.g. {bogus[0]!r}"
+        )
+    return recover_critical_base(fam)
 
 
 def closed_extensions(fam, s):
@@ -329,18 +409,36 @@ def strict_recovery_by_definition(fam, closed=None):
     return recover_critical_base(fam)
 
 
-def assert_kernel_matches_definitions(fam, closed=None):
+def blocks(fam, part):
+    """The members avoiding each element: the partition's blocks when there
+    is one, else every member avoiding it."""
+    if isinstance(part, dict):
+        return [part[j] for j in range(fam.ground.size)]
+    return [tuple(m for m in fam if j not in m) for j in range(fam.ground.size)]
+
+
+def assert_kernel_matches_scan(fam):
+    """Partition, predecessors and --strict give what the family scan gives,
+    error messages included; returns the partition's outcome."""
     part = outcome(partition_meets, fam)
-    assert part == outcome(partition_by_definition, fam)
-    for j in range(fam.ground.size):
-        if isinstance(part, dict):
-            j_up = part[j]
-        else:
-            j_up = tuple(member for member in fam if j not in member)
-        assert predecessors(fam, j, j_up) == predecessors_by_definition(fam, j, j_up)
+    assert part == outcome(partition_by_scan, fam)
+    for j, j_up in enumerate(blocks(fam, part)):
+        assert predecessors(fam, j, j_up) == predecessors_by_scan(fam, j, j_up)
     assert outcome(recover_critical_base, fam, strict=True) == outcome(
-        strict_recovery_by_definition, fam, closed
+        strict_recovery_by_scan, fam
     )
+    return part
+
+
+def assert_kernel_matches_definitions(fam, closed=None):
+    part = assert_kernel_matches_scan(fam)
+    by_definition = outcome(partition_by_definition, fam)
+    assert without_message(part) == without_message(by_definition)
+    for j, j_up in enumerate(blocks(fam, part)):
+        assert predecessors(fam, j, j_up) == predecessors_by_definition(fam, j, j_up)
+    strict = outcome(recover_critical_base, fam, strict=True)
+    by_definition = outcome(strict_recovery_by_definition, fam, closed)
+    assert without_message(strict) == without_message(by_definition)
 
 
 @st.composite
@@ -365,10 +463,49 @@ def meet_families(draw):
     return MeetFamily(base.ground, meets)
 
 
+@st.composite
+def wide_families(draw):
+    """Families over 65 to 90 elements, most members more than half full,
+    so that the index enters members from both sides.
+
+    Either the meet family of a small ranked base with every other element
+    added to each member (partitioned like the small one), or members
+    missing a few elements each; then possibly a sparse member, or the
+    intersection of two members, which is reducible.
+    """
+    n = draw(st.integers(65, 90))
+    ground = GroundSet(str(i) for i in range(1, n + 1))
+    full = (1 << n) - 1
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        small = random_ranked_base(rng, max_elements=7, max_implications=10)
+        padding = full & ~((1 << small.ground.size) - 1)
+        masks = [meet.mask | padding for meet in meets_brute(small)]
+    else:
+        missing = st.lists(st.integers(0, n - 1), min_size=1, max_size=3)
+        masks = [
+            full & ~sum(1 << a for a in set(gone))
+            for gone in draw(st.lists(missing, min_size=1, max_size=12))
+        ]
+    extra = draw(st.sampled_from(["none", "sparse", "intersection"]))
+    if extra == "sparse":
+        masks.append(draw(st.integers(0, full >> (n - 8))))
+    elif extra == "intersection" and len(masks) >= 2:
+        i, k = draw(st.lists(st.integers(0, len(masks) - 1), min_size=2, max_size=2))
+        masks.append(masks[i] & masks[k])
+    return MeetFamily(ground, [ElementSet(ground, mask) for mask in dict.fromkeys(masks)])
+
+
 @settings(max_examples=60)
 @given(meet_families())
 def test_kernel_matches_definitions(fam):
     assert_kernel_matches_definitions(fam)
+
+
+@settings(max_examples=60)
+@given(wide_families())
+def test_kernel_matches_scan_beyond_64_elements(fam):
+    assert_kernel_matches_scan(fam)
 
 
 def test_kernel_matches_definitions_on_rung():
@@ -378,3 +515,33 @@ def test_kernel_matches_definitions_on_rung():
     ground, sets = formats.read_mf(DATA / "rung.mf")
     closed = closed_set_masks(formats.read_imp(DATA / "rung.imp"))
     assert_kernel_matches_definitions(MeetFamily(ground, sets), closed)
+
+
+def layered_meet_family(levels, width, rules_per, premise_size, seed):
+    """The meet family of a layered ranked base: each element below the
+    top level gets `rules_per` rules whose premises are `premise_size`
+    elements of the level above."""
+    rng = random.Random(seed)
+    ground = GroundSet(str(pos + 1) for pos in range(levels * width))
+    rules = {}
+    for level in range(levels - 1):
+        upper = range((level + 1) * width, (level + 2) * width)
+        for conclusion in range(level * width, (level + 1) * width):
+            for _ in range(rules_per):
+                premise = sum(1 << pos for pos in rng.sample(upper, premise_size))
+                rules.setdefault((premise, conclusion))
+    base = ImplicationalBase(
+        ground, [Implication(ElementSet(ground, p), c) for p, c in rules]
+    )
+    return MeetFamily(ground, [meet for _, meet in meet_irreducibles(base)])
+
+
+def test_kernel_matches_scan_at_ladder_size():
+    # Four levels of eight elements, three rules of two premise elements
+    # each: the shape of the benchmark's sid instances.
+    fam = layered_meet_family(4, 8, 3, 2, seed=9)
+    assert 1400 <= len(fam) <= 1700
+    part = partition_meets(fam)
+    assert part == partition_by_scan(fam)
+    for j, j_up in part.items():
+        assert predecessors(fam, j, j_up) == predecessors_by_scan(fam, j, j_up)
