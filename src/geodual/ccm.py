@@ -15,13 +15,15 @@ branch recurses one rank higher.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterator
 
 from .errors import NotRankedError, PreconditionError
 from .hypergraphs import DualizationBackend, Hypergraph, independent_masks
 from .implications import ImplicationalBase
 from .ranking import RankConflict, RankFunction, compute_rank, validate_rank
-from .sets import ElementSet
+from .sets import ElementSet, iter_bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,9 +54,25 @@ def _check_ranked_set(rho: RankFunction, b: RankedSet) -> None:
         )
 
 
-def _premises(base: ImplicationalBase, bmask: int) -> list[int]:
-    """Premise masks of the rules concluding inside `bmask`, in base order."""
-    return [pmask for pmask, concl, _ in base._rules if bmask >> concl & 1]
+def _premises_by_conclusion(base: ImplicationalBase) -> tuple[list[int], ...]:
+    """Per element, the premise masks of the rules concluding in it, in base order."""
+    by_conclusion: tuple[list[int], ...] = tuple([] for _ in range(base.ground.size))
+    for pmask, concl, _ in base._rules:
+        by_conclusion[concl].append(pmask)
+    return by_conclusion
+
+
+def _premises(by_conclusion: tuple[list[int], ...], bmask: int) -> list[int]:
+    """Premise masks of the rules concluding inside `bmask`, by conclusion."""
+    return [p for j in iter_bits(bmask) for p in by_conclusion[j]]
+
+
+def _rank_prefixes(rho: RankFunction) -> tuple[int, ...]:
+    """Entry r is the mask of the elements of rank at most r, up to the top rank."""
+    levels = [0] * (rho.max_rank + 1)
+    for pos, r in enumerate(rho.ranks):
+        levels[r] |= 1 << pos
+    return tuple(accumulate(levels, or_))
 
 
 def level_hypergraph(
@@ -63,25 +81,24 @@ def level_hypergraph(
     """The hypergraph steering one recursion step.
 
     Vertices are the elements one rank above `b`; edges are the premises
-    of all rules concluding inside `b`.  The vertex set may properly
-    contain the union of the edges: vertices in no edge are free to join
-    every branch.
+    of all rules concluding inside `b`, grouped by conclusion in position
+    order.  The vertex set may properly contain the union of the edges:
+    vertices in no edge are free to join every branch.
     """
     _check_ranked(base, rho)
     _check_ranked_set(rho, b)
     u = base.ground
-    edges = [ElementSet(u, p) for p in _premises(base, b.members.mask)]
-    return Hypergraph(ElementSet(u, rho.level_mask(b.rank + 1)), edges)
-
-
-def _seed(rho: RankFunction, rank: int, bmask: int) -> int:
-    """Mask of the elements of rank at most `rank` outside `bmask`."""
-    return sum(1 << pos for pos, r in enumerate(rho.ranks) if r <= rank) & ~bmask
+    premises = _premises(_premises_by_conclusion(base), b.members.mask)
+    return Hypergraph(
+        ElementSet(u, rho.level_mask(b.rank + 1)), [ElementSet(u, p) for p in premises]
+    )
 
 
 def seed_region(base: ImplicationalBase, rho: RankFunction, b: RankedSet) -> ElementSet:
     """Elements of rank at most `b.rank` outside `b`: common to every output."""
-    return ElementSet(base.ground, _seed(rho, b.rank, b.members.mask))
+    prefixes = _rank_prefixes(rho)
+    below = prefixes[min(b.rank, rho.max_rank)]
+    return ElementSet(base.ground, below & ~b.members.mask)
 
 
 def maximal_avoiding_sets(
@@ -141,8 +158,9 @@ class MeetsAvoiding:
         self.base = base
         self.rho = rho
         self.backend = backend
-        # Masks of the ranks 0..max; the recursion stops at the top rank.
-        self._levels = tuple(rho.level_mask(r) for r in range(rho.max_rank + 1))
+        # Entry r masks the ranks up to r; the recursion stops at the top rank.
+        self._prefixes = _rank_prefixes(rho)
+        self._by_conclusion = _premises_by_conclusion(base)
         self._branches: dict[tuple[int, int], list[int]] = {}
 
     def __reduce__(self):
@@ -150,20 +168,21 @@ class MeetsAvoiding:
 
     def __call__(self, j: int) -> Iterator[int]:
         rank, bit = self.rho.ranks[j], 1 << j
-        return self._recurse(bit, rank, _seed(self.rho, rank, bit))
+        return self._recurse(bit, rank, self._prefixes[rank] & ~bit)
 
     def _recurse(self, bmask: int, rank: int, cmask: int) -> Iterator[int]:
         """Maximal closed supersets of `cmask` avoiding `bmask`, whose
         members all have rank `rank`, ranks above it still open."""
-        levels = self._levels
-        if rank + 1 >= len(levels):
+        prefixes = self._prefixes
+        if rank + 1 >= len(prefixes):
             yield cmask
             return
-        up = levels[rank + 1]
+        up = prefixes[rank + 1] & ~prefixes[rank]
         # Keyed by the rank too: an empty B occurs at any rank.
         branches = self._branches.get((bmask, rank))
         if branches is None:
-            branches = independent_masks(up, _premises(self.base, bmask), self.backend)
+            premises = _premises(self._by_conclusion, bmask)
+            branches = independent_masks(up, premises, self.backend)
             self._branches[bmask, rank] = branches
         for s in branches:
             yield from self._recurse(up & ~s, rank + 1, cmask | s)

@@ -21,7 +21,7 @@ from .implications import (
     is_acyclic,
 )
 from .ranking import RankFunction, compute_rank
-from .sets import ElementSet, bits_tuple, iter_bits
+from .sets import ElementSet, iter_bits, sort_key_lex
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +83,7 @@ def _mingens_within(base: ImplicationalBase, region_mask: int, target: int) -> l
     are skipped, which is sound because implication is monotone.
     """
     tbit = 1 << target
-    positions = bits_tuple(region_mask & ~tbit)
+    positions = tuple(iter_bits(region_mask & ~tbit))
     found: list[int] = []
     for size in range(1, len(positions) + 1):
         for combo in combinations(positions, size):
@@ -116,7 +116,7 @@ def critical_base(base: ImplicationalBase) -> ImplicationalBase:
                 kept.add((amask, target))
     implications = [
         Implication(ElementSet(ground, amask), target)
-        for amask, target in sorted(kept, key=lambda k: (k[1], bits_tuple(k[0])))
+        for amask, target in sorted(kept, key=lambda k: (k[1], sort_key_lex(k[0])))
     ]
     return ImplicationalBase(ground, implications)
 

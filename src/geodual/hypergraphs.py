@@ -4,10 +4,17 @@ Dualization sits behind a small backend interface so the sequential Berge
 baseline can later be swapped for an asymptotically better algorithm
 without touching any caller.  The baseline materializes intermediate
 families, so streams are lazy but not delay-bounded.
+
+Berge's absorption test is chosen per edge.  When the members missing the
+edge times the members meeting it in one vertex make few pairs, each pair
+is tested; above a fixed crossover the missing members are indexed by
+element and each guard blocks, with one AND per element, every missing
+member it absorbs.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from .errors import InputError
@@ -110,19 +117,78 @@ class BergeBackend:
                 kept.append(t)
                 if not one & (one - 1):
                     guards.append((t ^ one, one))
-            for t in missing:
-                outside = ~t
-                blocked = 0
-                for rest, one in guards:
-                    if not rest & outside:
-                        blocked |= one
-                free = edge & ~blocked
-                while free:
-                    low = free & -free
-                    kept.append(t | low)
-                    free ^= low
+            if len(missing) * len(guards) > _SCAN_PAIRS:
+                _grow_indexed(kept, missing, guards, edge)
+            else:
+                for t in missing:
+                    outside = ~t
+                    blocked = 0
+                    for rest, one in guards:
+                        if not rest & outside:
+                            blocked |= one
+                    free = edge & ~blocked
+                    while free:
+                        low = free & -free
+                        kept.append(t | low)
+                        free ^= low
             family = kept
         return family
+
+
+#: Above this many (missing member, guard) pairs an edge's absorption test
+#: runs from the index of the missing members; below it the pair scan wins.
+_SCAN_PAIRS = 64
+
+
+def _grow_indexed(
+    kept: list[int], missing: list[int], guards: list[tuple[int, int]], edge: int
+) -> None:
+    """Append to `kept` each ``t | 1<<v`` of Berge's step that no guard absorbs.
+
+    The missing members are indexed by element (the vertical "tidset"
+    layout of Zaki's Eclat): the row of an element has bit i when
+    ``missing[i]`` contains it.  A guard ``(h - {v}, v)`` blocks at v
+    exactly the members in the AND of the rows of ``h - {v}``, all of them
+    when that is empty, so ``blocked[v]`` is the OR of those masks over
+    the guards at v.  The sets appended are those of the pair scan.
+    """
+    width = len(missing)
+    everyone = (1 << width) - 1
+    cont: dict[int, int] = {}
+    blocked: dict[int, int] = {}
+    for rest, one in guards:
+        rows = everyone
+        while rest:
+            low = rest & -rest
+            row = cont.get(low)
+            if row is None:
+                row = cont[low] = _row(missing, low)
+            rows &= row
+            if not rows:
+                break
+            rest ^= low
+        else:
+            blocked[one] = blocked.get(one, 0) | rows
+    while edge:
+        low = edge & -edge
+        edge ^= low
+        rows = blocked.get(low)
+        if rows is None:
+            kept.extend(map(low.__or__, missing))
+        else:
+            free = format(everyone ^ rows, f"0{width}b")[::-1].encode()
+            kept.extend(map(low.__or__, compress(missing, free.translate(_FLAGS))))
+
+
+def _row(masks: list[int], bit: int) -> int:
+    """The mask whose bit i says that ``masks[i]`` contains `bit`."""
+    flags = bytes(map(bool, map(bit.__and__, masks)))
+    return int(flags[::-1].translate(_DIGITS), 2)
+
+
+#: Turn binary digits into the bytes 0 and 1 that `compress` reads, and back.
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 DEFAULT_BACKEND = BergeBackend()

@@ -14,7 +14,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Iterator
 
 from .errors import DuplicateImplicationWarning, InputError
-from .sets import ElementSet, GroundSet, Immutable, bits_tuple, iter_bits
+from .sets import ElementSet, GroundSet, Immutable, iter_bits, sort_key_lex
 
 
 class Implication(Immutable):
@@ -54,8 +54,8 @@ class Implication(Immutable):
     def __hash__(self) -> int:
         return hash((self.premise, self.conclusion))
 
-    def sort_key(self) -> tuple:
-        return (self.conclusion, bits_tuple(self.premise.mask))
+    def sort_key(self) -> tuple[int, str]:
+        return (self.conclusion, sort_key_lex(self.premise.mask))
 
     def __repr__(self) -> str:
         lhs = self.universe.join_labels(self.premise.mask)

@@ -260,17 +260,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bits_tuple(mask: int) -> tuple[int, ...]:
-    return tuple(iter_bits(mask))
-
-
 def minimal_masks(masks: Iterable[int]) -> list[int]:
     """Inclusion-minimal members of a family of masks, in stable order.
 
-    Output is sorted by (popcount, ascending bit tuple) so callers get a
+    Output is sorted by :func:`sort_key_size_lex` so callers get a
     deterministic family.
     """
-    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), bits_tuple(m)))
+    ordered = sorted(set(masks), key=sort_key_size_lex)
     kept: list[int] = []
     for m in ordered:
         if not any(k & m == k for k in kept):
@@ -280,19 +276,32 @@ def minimal_masks(masks: Iterable[int]) -> list[int]:
 
 def maximal_masks(masks: Iterable[int]) -> list[int]:
     """Inclusion-maximal members of a family of masks, in stable order."""
-    ordered = sorted(set(masks), key=lambda m: (-m.bit_count(), bits_tuple(m)))
+    ordered = sorted(set(masks), key=lambda m: (-m.bit_count(), sort_key_lex(m)))
     kept: list[int] = []
     for m in ordered:
         if not any(k & m == m for k in kept):
             kept.append(m)
-    return sorted(kept, key=lambda m: (m.bit_count(), bits_tuple(m)))
+    return sorted(kept, key=sort_key_size_lex)
 
 
-def sort_key_lex(mask: int) -> tuple[int, ...]:
-    """Lexicographic key on the ascending position sequence of a mask."""
-    return bits_tuple(mask)
+#: Swaps the binary digits, so members read 0 and gaps 1.
+_MEMBERS_FIRST = str.maketrans("01", "10")
 
 
-def sort_key_size_lex(mask: int) -> tuple:
-    """Size-then-lexicographic key, used for closed-set listings."""
-    return (mask.bit_count(), bits_tuple(mask))
+def sort_key_lex(mask: int) -> str:
+    """Lexicographic key on the ascending position sequence of a mask.
+
+    The key is the membership string from position 0, members written
+    ``0`` and gaps ``1``; it ends at the last member.  At the first
+    position where two keys differ, the set holding that position has
+    the smaller next element, and a key that is a prefix of another
+    belongs to a set whose elements all lie before the other's next
+    one: so the strings compare as the position tuples do.
+    """
+    return bin(mask)[:1:-1].translate(_MEMBERS_FIRST) if mask else ""
+
+
+def sort_key_size_lex(mask: int) -> tuple[int, str]:
+    """Size-then-lexicographic key, used for closed-set listings and
+    minimal and maximal families."""
+    return (mask.bit_count(), sort_key_lex(mask))

@@ -175,7 +175,8 @@ def _containing(ix: _Index, xmask: int) -> int:
     rows is tried first: a member containing `xmask` misses some element
     outside it, since none is the whole ground set, so the OR holds every
     such member, and they are found by a subset test per candidate when
-    there are fewer candidates than rows to AND.
+    there are fewer candidates than rows to AND.  The OR stops as soon as
+    it holds as many candidates as there are rows.
     """
     n = len(ix.cont)
     inside = xmask.bit_count()
@@ -183,7 +184,9 @@ def _containing(ix: _Index, xmask: int) -> int:
         candidates = 0
         for a in iter_bits(((1 << n) - 1) ^ xmask):
             candidates |= ix.miss[a]
-        if candidates.bit_count() < inside:
+            if candidates.bit_count() >= inside:
+                break
+        else:
             members = ix.members
             return sum(1 << i for i in iter_bits(candidates) if not xmask & ~members[i])
     found = (1 << len(ix.members)) - 1

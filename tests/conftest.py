@@ -1,11 +1,14 @@
 """Shared fixtures: the worked example systems used throughout the suite."""
 
+import random
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 from geodual import ElementSet, GroundSet, Implication, ImplicationalBase, implication
 from geodual.implications import implication_graph
+from geodual.sets import MAX_GROUND_SIZE, iter_bits
 
 DATA = Path(__file__).parent / "data"
 
@@ -15,6 +18,25 @@ def make_base(labels, rules):
     ground = GroundSet(labels.split())
     imps = [implication(ground, premise.split(), concl) for premise, concl in rules]
     return ImplicationalBase(ground, imps)
+
+
+def layered_base(levels, width, rules_per, premise_size, seed):
+    """A layered ranked base: level i holds positions i*width..(i+1)*width-1,
+    and each element below the top level gets `rules_per` rules whose
+    premises are `premise_size` elements of the level above; repeated
+    rules are kept once."""
+    rng = random.Random(seed)
+    ground = GroundSet(str(pos + 1) for pos in range(levels * width))
+    rules = {}
+    for level in range(levels - 1):
+        upper = range((level + 1) * width, (level + 2) * width)
+        for conclusion in range(level * width, (level + 1) * width):
+            for _ in range(rules_per):
+                premise = sum(1 << pos for pos in rng.sample(upper, premise_size))
+                rules.setdefault((premise, conclusion))
+    return ImplicationalBase(
+        ground, [Implication(ElementSet(ground, p), c) for p, c in rules]
+    )
 
 
 def equivalent_perturbation(rng, base):
@@ -54,6 +76,17 @@ def equivalent_perturbation(rng, base):
 def sets_of(base_or_ground, *label_groups):
     ground = getattr(base_or_ground, "ground", base_or_ground)
     return [ElementSet.from_labels(ground, labels.split()) for labels in label_groups]
+
+
+def positions(mask):
+    """The ascending positions of a mask: the reference lexicographic key."""
+    return tuple(iter_bits(mask))
+
+
+@cache
+def widest_ground():
+    """A ground set of the largest supported size, built once."""
+    return GroundSet(str(pos) for pos in range(MAX_GROUND_SIZE))
 
 
 def family(items):

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import equivalent_perturbation, make_base, sets_of
+from conftest import equivalent_perturbation, make_base, positions, sets_of, widest_ground
 from geodual import (
+    ElementSet,
+    Implication,
     ImplicationalBase,
     MinimalGenerator,
     PreconditionError,
@@ -70,6 +73,34 @@ class TestCriticalBase:
         out = critical_base(crossed)
         keys = [imp.sort_key() for imp in out.implications]
         assert keys == sorted(keys)
+
+
+@st.composite
+def wide_acyclic_bases(draw):
+    """Bases over the widest ground whose premises lie above their
+    conclusions; a few conclusions share rules whose premises come from a
+    few positions spread over the ground, so premises share prefixes."""
+    top = len(widest_ground()) - 1
+    rules = []
+    for conclusion in draw(st.sets(st.integers(0, top - 1), min_size=1, max_size=3)):
+        pool = draw(st.sets(st.integers(conclusion + 1, top), min_size=1, max_size=6))
+        premise = st.sets(st.sampled_from(sorted(pool)), min_size=1, max_size=3)
+        for elements in draw(st.lists(premise, min_size=1, max_size=4)):
+            rules.append((sum(1 << pos for pos in elements), conclusion))
+    ground = widest_ground()
+    return ImplicationalBase(
+        ground, [Implication(ElementSet(ground, p), c) for p, c in dict.fromkeys(rules)]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_acyclic_bases())
+def test_critical_base_ordered_by_conclusion_then_position_tuple(base):
+    keys = [
+        (imp.conclusion, positions(imp.premise.mask))
+        for imp in critical_base(base).implications
+    ]
+    assert keys == sorted(keys)
 
 
 class TestIsRankedGeometry:

@@ -5,14 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA, family
+from conftest import DATA, family, layered_base
 from geodual import (
     BergeBackend,
     ElementSet,
     GroundSet,
     Hypergraph,
-    Implication,
-    ImplicationalBase,
     InputError,
     formats,
     induced,
@@ -213,6 +211,27 @@ def test_berge_matches_definition_on_raw_edges(edges):
     assert_berge_matches_definition(edges)
 
 
+@st.composite
+def crossing_edge_lists(draw):
+    """Edge lists whose Berge steps have more (missing, guard) pairs than
+    the pair-scan crossover, so the indexed absorption test runs.
+
+    Half of them put vertex 0 in every edge: {0} then stays a member, and
+    its guard, with nothing besides 0, blocks every member missing an edge.
+    """
+    n = draw(st.integers(min_value=16, max_value=24))
+    hub = draw(st.booleans())
+    edge = st.sets(st.integers(hub, n - 1), min_size=3 - hub, max_size=5 - hub)
+    edges = draw(st.lists(edge, min_size=8, max_size=14))
+    return [sum(1 << v for v in e) | hub for e in edges]
+
+
+@settings(max_examples=40, deadline=None)
+@given(crossing_edge_lists())
+def test_berge_matches_definition_across_the_crossover(edges):
+    assert_berge_matches_definition(edges)
+
+
 def test_berge_edge_cases():
     assert assert_berge_matches_definition([]) == [0]
     assert assert_berge_matches_definition([0b11, 0]) == []
@@ -230,21 +249,6 @@ class DifferentialBackend:
         return assert_berge_matches_definition(list(edges))
 
 
-def layered_base(levels, width, rules_per, premise_size, seed):
-    """Level i holds positions i*width..; each rule's premise lies one level up."""
-    rng = random.Random(seed)
-    ground = GroundSet(str(pos + 1) for pos in range(levels * width))
-    rules = {}
-    for level in range(levels - 1):
-        upper = range((level + 1) * width, (level + 2) * width)
-        for concl in range(level * width, (level + 1) * width):
-            for _ in range(rules_per):
-                rules[sum(1 << pos for pos in rng.sample(upper, premise_size)), concl] = None
-    return ImplicationalBase(
-        ground, [Implication(ElementSet(ground, p), c) for p, c in rules]
-    )
-
-
 def assert_ccm_level_hypergraphs_match_definition(base):
     backend = DifferentialBackend()
     meets = sum(1 for _ in meet_irreducibles(base, backend))
@@ -259,3 +263,9 @@ def test_berge_matches_definition_on_wide_level_hypergraphs():
     # 20 level hypergraphs of 10 four-vertex edges over 20 vertices, with
     # families of up to 694 transversals: the ccm-wide shape, one size down
     assert_ccm_level_hypergraphs_match_definition(layered_base(2, 20, 10, 4, seed=7))
+
+
+def test_berge_matches_definition_on_ccm_wide_level_hypergraphs():
+    # 24 level hypergraphs of 12 four-vertex edges over 24 vertices: the
+    # benchmark's wide shape, where most Berge steps use the index
+    assert_ccm_level_hypergraphs_match_definition(layered_base(2, 24, 12, 4, seed=7))

@@ -3,8 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from geodual import ElementSet, GroundSet, InputError
-from geodual.sets import MAX_GROUND_SIZE, maximal_masks, minimal_masks
+from conftest import positions, widest_ground
+from geodual import ElementSet, GroundSet, Implication, InputError
+from geodual.sets import (
+    MAX_GROUND_SIZE,
+    maximal_masks,
+    minimal_masks,
+    sort_key_lex,
+    sort_key_size_lex,
+)
 
 
 class TestGroundSet:
@@ -115,3 +122,55 @@ def test_minimal_and_maximal_masks():
     assert maximal_masks(masks) == [0b111]
     assert minimal_masks([]) == []
     assert maximal_masks([0b1, 0b1]) == [0b1]
+
+
+def by_size_then_positions(mask):
+    return (mask.bit_count(), positions(mask))
+
+
+@st.composite
+def mask_lists(draw):
+    """Masks of up to 4 096 bits, dense and sparse, the empty mask among
+    them, with truncations and one-bit extensions of the drawn masks so
+    that many share a prefix of positions."""
+    width = draw(st.integers(1, MAX_GROUND_SIZE))
+    dense = st.integers(0, (1 << width) - 1)
+    sparse = st.sets(st.integers(0, width - 1), max_size=6).map(
+        lambda ps: sum(1 << p for p in ps)
+    )
+    masks = draw(st.lists(st.one_of(dense, sparse, st.just(0)), min_size=1, max_size=8))
+    for m in list(masks):
+        masks.append(m & (1 << draw(st.integers(0, width))) - 1)
+        masks.append(m | 1 << draw(st.integers(0, width - 1)))
+    return masks
+
+
+@given(mask_lists())
+def test_lexicographic_keys_sort_as_position_tuples(masks):
+    assert sorted(masks, key=sort_key_lex) == sorted(masks, key=positions)
+    assert sorted(masks, key=sort_key_size_lex) == sorted(masks, key=by_size_then_positions)
+    unique = set(masks)
+    assert minimal_masks(masks) == [
+        m
+        for m in sorted(unique, key=by_size_then_positions)
+        if not any(k & m == k and k != m for k in unique)
+    ]
+    assert maximal_masks(masks) == [
+        m
+        for m in sorted(unique, key=by_size_then_positions)
+        if not any(k & m == m and k != m for k in unique)
+    ]
+
+
+@given(mask_lists(), st.data())
+def test_implication_sort_key_sorts_as_position_tuples(masks, data):
+    ground = widest_ground()
+    implications = []
+    for mask in masks:
+        conclusion = data.draw(st.integers(0, MAX_GROUND_SIZE - 1))
+        premise = mask & ~(1 << conclusion)
+        if premise:
+            implications.append(Implication(ElementSet(ground, premise), conclusion))
+    assert sorted(implications, key=Implication.sort_key) == sorted(
+        implications, key=lambda imp: (imp.conclusion, positions(imp.premise.mask))
+    )

@@ -8,14 +8,12 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA, family, make_base, sets_of
+from conftest import DATA, family, layered_base, make_base, sets_of
 from geodual import (
     DuplicateSetWarning,
     ElementSet,
     GeodualError,
     GroundSet,
-    Implication,
-    ImplicationalBase,
     InputError,
     MeetFamily,
     NotConvexGeometryError,
@@ -518,22 +516,9 @@ def test_kernel_matches_definitions_on_rung():
 
 
 def layered_meet_family(levels, width, rules_per, premise_size, seed):
-    """The meet family of a layered ranked base: each element below the
-    top level gets `rules_per` rules whose premises are `premise_size`
-    elements of the level above."""
-    rng = random.Random(seed)
-    ground = GroundSet(str(pos + 1) for pos in range(levels * width))
-    rules = {}
-    for level in range(levels - 1):
-        upper = range((level + 1) * width, (level + 2) * width)
-        for conclusion in range(level * width, (level + 1) * width):
-            for _ in range(rules_per):
-                premise = sum(1 << pos for pos in rng.sample(upper, premise_size))
-                rules.setdefault((premise, conclusion))
-    base = ImplicationalBase(
-        ground, [Implication(ElementSet(ground, p), c) for p, c in rules]
-    )
-    return MeetFamily(ground, [meet for _, meet in meet_irreducibles(base)])
+    """The meet family of a layered ranked base (see `layered_base`)."""
+    base = layered_base(levels, width, rules_per, premise_size, seed)
+    return MeetFamily(base.ground, [meet for _, meet in meet_irreducibles(base)])
 
 
 def test_kernel_matches_scan_at_ladder_size():
@@ -545,3 +530,14 @@ def test_kernel_matches_scan_at_ladder_size():
     assert part == partition_by_scan(fam)
     for j, j_up in part.items():
         assert predecessors(fam, j, j_up) == predecessors_by_scan(fam, j, j_up)
+
+
+def test_roundtrip_at_4096_elements():
+    # Two levels of 2 048 elements, one single-element premise per element
+    # of the lower level: the documented ground-set capacity, 4 096 meets.
+    # The base is its own critical base (critical_base agrees, but takes
+    # seconds here), so recovery must give back its rules.
+    base = layered_base(2, 2048, 1, 1, seed=7)
+    fam = MeetFamily(base.ground, [meet for _, meet in meet_irreducibles(base)])
+    assert len(fam) == 4096
+    assert set(recover_critical_base(fam).implications) == set(base.implications)
