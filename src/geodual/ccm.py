@@ -68,7 +68,14 @@ def _premises(by_conclusion: tuple[list[int], ...], bmask: int) -> list[int]:
 
 
 def _rank_prefixes(rho: RankFunction) -> tuple[int, ...]:
-    """Entry r is the mask of the elements of rank at most r, up to the top rank."""
+    """Entry r is the mask of the elements of rank at most r, up to the top rank.
+
+    Every rank lookup of this module goes through these masks.  A negative
+    rank, which differences alone do not rule out, raises
+    :class:`PreconditionError` instead of wrapping around to the top.
+    """
+    if min(rho.ranks, default=0) < 0:
+        raise PreconditionError("ranks must be natural numbers")
     levels = [0] * (rho.max_rank + 1)
     for pos, r in enumerate(rho.ranks):
         levels[r] |= 1 << pos
@@ -88,10 +95,10 @@ def level_hypergraph(
     _check_ranked(base, rho)
     _check_ranked_set(rho, b)
     u = base.ground
+    prefixes, up = _rank_prefixes(rho), b.rank + 1
+    vertices = prefixes[up] & ~prefixes[up - 1] if up < len(prefixes) else 0
     premises = _premises(_premises_by_conclusion(base), b.members.mask)
-    return Hypergraph(
-        ElementSet(u, rho.level_mask(b.rank + 1)), [ElementSet(u, p) for p in premises]
-    )
+    return Hypergraph(ElementSet(u, vertices), [ElementSet(u, p) for p in premises])
 
 
 def seed_region(base: ImplicationalBase, rho: RankFunction, b: RankedSet) -> ElementSet:

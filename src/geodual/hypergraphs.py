@@ -137,6 +137,10 @@ class BergeBackend:
 
 #: Above this many (missing member, guard) pairs an edge's absorption test
 #: runs from the index of the missing members; below it the pair scan wins.
+#: On 2 cores, with the index on every edge instead, dualizing the level
+#: hypergraphs of 6 ccm-deep bases took 0.15 s against 0.034 s, and of the
+#: 50 L4 w8 bases of sid-deep's set-up 0.39-0.41 s against 0.09-0.11 s;
+#: any crossover from 8 to 1 024 pairs kept the 2 ccm-wide bases near 0.22 s.
 _SCAN_PAIRS = 64
 
 

@@ -20,6 +20,7 @@ from geodual import (
     meet_irreducibles,
     seed_region,
 )
+from geodual.ccm import MeetsAvoiding
 from geodual.hypergraphs import maximal_independent_sets
 from geodual.oracle import (
     maximal_closed_avoiding,
@@ -65,6 +66,21 @@ class TestLevelHypergraph:
         (b,) = sets_of(layered, "4")
         with pytest.raises(PreconditionError):
             level_hypergraph(layered, bad, RankedSet(b, 0))
+
+    def test_negative_rank_rejected(self, layered):
+        # Every rank one lower: the differences still check, but the
+        # elements of rank 0 now sit at rank -1.
+        rho = compute_rank(layered)
+        shifted = RankFunction(tuple(r - 1 for r in rho.ranks))
+        b = ranked_singleton(layered, shifted, "4")
+        with pytest.raises(PreconditionError):
+            level_hypergraph(layered, shifted, b)
+        with pytest.raises(PreconditionError):
+            seed_region(layered, shifted, b)
+        with pytest.raises(PreconditionError):
+            list(maximal_avoiding_sets(layered, shifted, b, ElementSet.empty(layered.ground)))
+        with pytest.raises(PreconditionError):
+            MeetsAvoiding(layered, shifted)
 
 
 class TestRecursion:

@@ -263,9 +263,3 @@ def test_berge_matches_definition_on_wide_level_hypergraphs():
     # 20 level hypergraphs of 10 four-vertex edges over 20 vertices, with
     # families of up to 694 transversals: the ccm-wide shape, one size down
     assert_ccm_level_hypergraphs_match_definition(layered_base(2, 20, 10, 4, seed=7))
-
-
-def test_berge_matches_definition_on_ccm_wide_level_hypergraphs():
-    # 24 level hypergraphs of 12 four-vertex edges over 24 vertices: the
-    # benchmark's wide shape, where most Berge steps use the index
-    assert_ccm_level_hypergraphs_match_definition(layered_base(2, 24, 12, 4, seed=7))
