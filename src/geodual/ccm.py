@@ -14,7 +14,6 @@ branch recurses one rank higher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 from typing import Iterator
@@ -23,23 +22,23 @@ from .errors import NotRankedError, PreconditionError
 from .hypergraphs import DualizationBackend, Hypergraph, independent_masks
 from .implications import ImplicationalBase
 from .ranking import RankConflict, RankFunction, compute_rank, validate_rank
-from .sets import ElementSet, iter_bits
+from .sets import ElementSet, Record, iter_bits
 
 
-@dataclass(frozen=True, slots=True)
-class RankedSet:
+class RankedSet(Record):
     """A set of elements sharing one rank, with the rank kept explicitly.
 
     Carrying the rank keeps the recursion well-defined when the member
     set is empty.
     """
 
-    members: ElementSet
-    rank: int
+    __slots__ = ("members", "rank")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, members: ElementSet, rank: int):
+        if rank < 0:
             raise PreconditionError("rank must be a natural number")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "rank", rank)
 
 
 def _check_ranked(base: ImplicationalBase, rho: RankFunction) -> None:

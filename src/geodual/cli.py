@@ -7,23 +7,20 @@ guard), 3 verification failure.  Enumeration commands stream one result
 per line as it is produced; labels, never positions, appear in output.
 A reader that closes the output early (``geodual ccm big.imp | head -1``)
 ends the command quietly, with exit code 1 and nothing on stderr.
+
+Each command imports the modules it runs when it runs, so that a command
+starts without loading what only the others need.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
-import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import formats
-from .ccm import MeetsAvoiding, meet_irreducibles, ranked
-from .critical import critical_base
-from .dualization import Antichain, check_dual, reduce_dual_to_cmi
 from .errors import (
     GeodualError,
     InputError,
@@ -32,9 +29,7 @@ from .errors import (
     VerificationError,
 )
 from .implications import Implication
-from .ranking import RankFunction, compute_rank
 from .sets import ElementSet
-from .sid import MeetFamily, partition_meets, recover_critical_base, recovered_premises
 
 
 def _println(line: str) -> None:
@@ -43,6 +38,8 @@ def _println(line: str) -> None:
 
 
 def _print_sets(sets, as_json: bool) -> None:
+    import json
+
     for s in sets:
         if as_json:
             _println(json.dumps({"set": list(s.labels())}))
@@ -67,6 +64,8 @@ def _element_map(jobs: int):
     if jobs <= 1:
         yield map
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
     try:
         yield lambda gen, *iterables: pool.map(partial(_drain, gen), *iterables)
@@ -78,6 +77,8 @@ def _element_map(jobs: int):
 
 
 def cmd_ccm(args) -> int:
+    from .ccm import MeetsAvoiding, ranked
+
     base = formats.read_imp(args.file)
     line = _meet_line(args, base.ground)
     with _element_map(args.jobs) as element_map:
@@ -92,6 +93,8 @@ def _meet_line(args, ground):
     """The output line of a meet, as a function of its element and its mask."""
     labels = ground.labels
     if args.json:
+        import json
+
         return lambda j, mask: json.dumps(
             {"element": labels[j], "meet": list(ElementSet(ground, mask).labels())}
         )
@@ -101,6 +104,8 @@ def _meet_line(args, ground):
 
 
 def cmd_sid(args) -> int:
+    from .sid import MeetFamily, partition_meets, recover_critical_base, recovered_premises
+
     ground, sets = formats.read_mf(args.file)
     family = MeetFamily(ground, sets)
     if args.verify or args.strict:
@@ -119,6 +124,8 @@ def cmd_sid(args) -> int:
 
 
 def cmd_critical_base(args) -> int:
+    from .critical import critical_base
+
     base = formats.read_imp(args.file)
     sys.stdout.write(formats.format_imp(critical_base(base)))
     sys.stdout.flush()
@@ -126,6 +133,10 @@ def cmd_critical_base(args) -> int:
 
 
 def cmd_rank_check(args) -> int:
+    import json
+
+    from .ranking import RankFunction, compute_rank
+
     base = formats.read_imp(args.file)
     result = compute_rank(base)
     if isinstance(result, RankFunction):
@@ -166,7 +177,9 @@ def cmd_rank_check(args) -> int:
     return 2
 
 
-def _load_antichain(base, path) -> Antichain:
+def _load_antichain(base, path):
+    from .dualization import Antichain
+
     ground, sets = formats.read_mf(path)
     if ground != base.ground:
         raise InputError(
@@ -177,6 +190,8 @@ def _load_antichain(base, path) -> Antichain:
 
 
 def cmd_dual_check(args) -> int:
+    from .dualization import check_dual
+
     base = formats.read_imp(args.file)
     bplus = _load_antichain(base, args.plus)
     bminus = _load_antichain(base, args.minus)
@@ -185,6 +200,9 @@ def cmd_dual_check(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .dualization import reduce_dual_to_cmi
+    from .sid import MeetFamily
+
     base = formats.read_imp(args.file)
     bplus = _load_antichain(base, args.plus)
     bminus = _load_antichain(base, args.minus)
@@ -202,6 +220,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    from .ccm import meet_irreducibles
+    from .critical import critical_base
+    from .sid import MeetFamily, recover_critical_base
+
     base = formats.read_imp(args.file)
     meets = MeetFamily(base.ground, [m for _, m in meet_irreducibles(base)])
     recovered = recover_critical_base(meets)
@@ -217,7 +239,9 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # Imported here: the oracle pulls in numpy, which no other command needs.
+    import random
+
+    # The oracle pulls in numpy, which no other command needs.
     from .oracle import (
         all_closed_sets,
         joins_brute,
@@ -247,6 +271,8 @@ def cmd_oracle(args) -> int:
     elif args.oracle_command == "transversals":
         _print_sets(transversals_brute(formats.read_hg(args.file)), args.json)
     elif args.oracle_command == "partition":
+        from .sid import MeetFamily, partition_meets
+
         ground, sets = formats.read_mf(args.file)
         family = MeetFamily(ground, sets)
         for j, fam in sorted(partition_meets(family).items()):

@@ -10,7 +10,6 @@ dimension, which is what desk-scale and bounded-dimension bases need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import PreconditionError
@@ -21,19 +20,19 @@ from .implications import (
     is_acyclic,
 )
 from .ranking import RankFunction, compute_rank
-from .sets import ElementSet, iter_bits, sort_key_lex
+from .sets import ElementSet, Record, iter_bits, sort_key_lex
 
 
-@dataclass(frozen=True, slots=True)
-class MinimalGenerator:
+class MinimalGenerator(Record):
     """A set that implies a target element outside of it, minimally so."""
 
-    generator: ElementSet
-    target: int
+    __slots__ = ("generator", "target")
 
-    def __post_init__(self):
-        if self.target in self.generator:
+    def __init__(self, generator: ElementSet, target: int):
+        if target in generator:
             raise PreconditionError("target element must lie outside its generator")
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "target", target)
 
 
 def _require_acyclic(base: ImplicationalBase) -> None:

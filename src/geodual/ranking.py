@@ -10,19 +10,20 @@ component of the implication graph and then normalized to start at 0.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import InputError
 from .implications import Implication, ImplicationalBase
-from .sets import iter_bits
+from .sets import Record, iter_bits
 
 
-@dataclass(frozen=True, slots=True)
-class RankFunction:
+class RankFunction(Record):
     """A total assignment of natural-number ranks, indexed by position."""
 
-    ranks: tuple[int, ...]
+    __slots__ = ("ranks",)
+
+    def __init__(self, ranks: tuple[int, ...]):
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def max_rank(self) -> int:
@@ -37,8 +38,7 @@ class RankFunction:
         return mask
 
 
-@dataclass(frozen=True, slots=True)
-class RankConflict:
+class RankConflict(Record):
     """Witness that no rank function exists.
 
     `element` was forced to two distinct ranks; the two witness
@@ -46,9 +46,17 @@ class RankConflict:
     propagation.
     """
 
-    element: int
-    required_ranks: tuple[int, int]
-    witness_implications: tuple[Implication, Implication]
+    __slots__ = ("element", "required_ranks", "witness_implications")
+
+    def __init__(
+        self,
+        element: int,
+        required_ranks: tuple[int, int],
+        witness_implications: tuple[Implication, Implication],
+    ):
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "required_ranks", required_ranks)
+        object.__setattr__(self, "witness_implications", witness_implications)
 
     def describe(self) -> str:
         labels = self.witness_implications[0].universe.labels
@@ -60,24 +68,24 @@ class RankConflict:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class UnrankedCertificate:
+class UnrankedCertificate(Record):
     """A short list of implications claimed critical and jointly unrankable."""
 
-    implications: tuple[Implication, ...]
+    __slots__ = ("implications",)
 
-    def __post_init__(self):
-        if not self.implications:
+    def __init__(self, implications: tuple[Implication, ...]):
+        if not implications:
             raise InputError("certificate must contain at least one implication")
-        universe = self.implications[0].universe
-        for imp in self.implications:
+        universe = implications[0].universe
+        for imp in implications:
             if imp.universe != universe:
                 raise InputError("certificate implications must share one ground set")
-        if len(self.implications) > universe.size:
+        if len(implications) > universe.size:
             raise InputError(
-                f"certificate of {len(self.implications)} implications exceeds "
+                f"certificate of {len(implications)} implications exceeds "
                 f"the ground-set size {universe.size}"
             )
+        object.__setattr__(self, "implications", implications)
 
 
 def compute_rank(base: ImplicationalBase) -> Union[RankFunction, RankConflict]:

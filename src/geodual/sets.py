@@ -18,11 +18,14 @@ MAX_GROUND_SIZE = 4096
 
 
 class Immutable:
-    """Blocks attribute assignment after construction; pickle-safe."""
+    """Blocks attribute assignment and deletion after construction; pickle-safe."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __getstate__(self):
@@ -31,6 +34,31 @@ class Immutable:
     def __setstate__(self, state):
         for name, value in state.items():
             object.__setattr__(self, name, value)
+
+
+class Record(Immutable):
+    """An immutable value whose fields are its `__slots__`, in order.
+
+    Equality (between instances of the same type), hash and repr go
+    field by field, as for a frozen dataclass: ``RankFunction(ranks=(0, 1))``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, slot) for slot in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{slot}={getattr(self, slot)!r}" for slot in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class GroundSet(Immutable):

@@ -19,11 +19,9 @@ scans the family.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .ccm import meet_irreducibles
 from .errors import (
     DuplicateSetWarning,
     InputError,
@@ -34,8 +32,6 @@ from .errors import (
 from .hypergraphs import DualizationBackend, Hypergraph, induced, minimal_transversals
 from .implications import Implication, ImplicationalBase
 from .sets import ElementSet, GroundSet, Immutable, iter_bits
-
-logger = logging.getLogger(__name__)
 
 
 class MeetFamily(Immutable):
@@ -291,7 +287,9 @@ def predecessors(
     """
     j_up = tuple(j_up)
     if not j_up:
-        logger.info(
+        import logging  # only this case logs; keeps `logging` off `sid` start-up
+
+        logging.getLogger(__name__).info(
             "element %r avoids no member; it has no generators",
             m.ground.labels[j],
         )
@@ -395,6 +393,8 @@ def recover_critical_base(
             )
     base = ImplicationalBase(m.ground, tuple(iter_recovered_implications(m, backend)))
     if verify:
+        from .ccm import meet_irreducibles  # only `verify` needs ccm
+
         try:
             recomputed = {meet.mask for _, meet in meet_irreducibles(base, backend)}
         except NotRankedError as exc:
