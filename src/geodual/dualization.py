@@ -159,10 +159,8 @@ def is_meet_family(base: ImplicationalBase, m: MeetFamily) -> bool:
     Decided against the brute-force meet family; intended for small
     instances.
     """
-    from .oracle import closed_set_masks, family_meet_masks
+    from .oracle import meets_brute
 
     if m.ground != base.ground:
         raise InputError("meet family lives on a different ground set")
-    full = (1 << base.ground.size) - 1
-    truth = set(family_meet_masks(closed_set_masks(base), full))
-    return {meet.mask for meet in m.meets} == truth
+    return {meet.mask for meet in m.meets} == {s.mask for s in meets_brute(base)}

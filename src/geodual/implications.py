@@ -3,8 +3,9 @@
 A base is a list of rules ``A -> b`` over a common ground set.  A subset
 is closed when every rule whose premise it contains also has its
 conclusion inside.  The closure of a set is computed by forward chaining
-with per-rule unsatisfied-premise counters, which keeps a single call at
-O(|X| + total premise size).
+with unsatisfied-premise counters kept only for the rules that mention an
+element of the input or of the growing closure, so a call costs the
+premise occurrences of those elements, not one step per rule.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ class ImplicationalBase(Immutable):
     preserved.
     """
 
-    __slots__ = ("ground", "implications", "_rules", "_rules_by_element")
+    __slots__ = (
+        "ground", "implications", "_rules", "_rules_by_element", "_unconditional"
+    )
 
     def __init__(self, ground: GroundSet, implications: Iterable[Implication] = ()):
         kept: list[Implication] = []
@@ -103,8 +106,11 @@ class ImplicationalBase(Immutable):
             )
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "implications", tuple(kept))
-        # (premise mask, conclusion, premise size) per rule, plus an index
-        # from element position to the rules mentioning it in a premise.
+        # (premise mask, conclusion, premise size) per rule, an index from
+        # element position to the rules mentioning it in a premise, and the
+        # conclusions of rules with an empty premise, which no element
+        # mentions (`Implication` rejects them, the closure still honours
+        # them).
         rules = tuple(
             (imp.premise.mask, imp.conclusion, len(imp.premise)) for imp in kept
         )
@@ -115,6 +121,11 @@ class ImplicationalBase(Immutable):
         object.__setattr__(self, "_rules", rules)
         object.__setattr__(
             self, "_rules_by_element", tuple(tuple(rs) for rs in by_element)
+        )
+        object.__setattr__(
+            self,
+            "_unconditional",
+            tuple(concl for pmask, concl, _ in rules if not pmask),
         )
 
     @property
@@ -158,22 +169,21 @@ def closure_mask(base: ImplicationalBase, mask: int) -> int:
     """Forward-chaining closure on a raw mask; the hot inner loop."""
     rules = base._rules
     by_element = base._rules_by_element
-    counts = []
-    todo: list[int] = []
     result = mask
-    # counters are measured against the input mask only; every element
-    # added later decrements them exactly once via the worklist
-    for pmask, concl, size in rules:
-        cnt = size - (pmask & mask).bit_count()
-        counts.append(cnt)
-        if cnt == 0 and not result >> concl & 1:
+    todo = list(iter_bits(mask))
+    for concl in base._unconditional:
+        if not result >> concl & 1:
             result |= 1 << concl
             todo.append(concl)
+    # every element of the closure leaves the worklist exactly once and
+    # decrements the counters of the rules whose premise holds it; a rule
+    # gets its counter, starting from its premise size, at the first one
+    missing: dict[int, int] = {}
     while todo:
         x = todo.pop()
         for rid in by_element[x]:
-            counts[rid] -= 1
-            if counts[rid] == 0:
+            left = missing[rid] = missing.get(rid, rules[rid][2]) - 1
+            if not left:
                 concl = rules[rid][1]
                 if not result >> concl & 1:
                     result |= 1 << concl

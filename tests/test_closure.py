@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_base, sets_of
 from geodual import (
@@ -175,6 +175,71 @@ def test_closed_family_intersection_closed(data):
     for a in closed:
         for b in closed:
             assert a & b in closed
+
+
+def closure_by_counters(base, mask):
+    """Forward chaining with a counter set up for every rule on every call:
+    the reference for `closure_mask`, which keeps counters only for the
+    rules the closure touches."""
+    rules = base._rules
+    counts = []
+    todo = []
+    result = mask
+    for pmask, concl, size in rules:
+        cnt = size - (pmask & mask).bit_count()
+        counts.append(cnt)
+        if cnt == 0 and not result >> concl & 1:
+            result |= 1 << concl
+            todo.append(concl)
+    while todo:
+        x = todo.pop()
+        for rid in base._rules_by_element[x]:
+            counts[rid] -= 1
+            if counts[rid] == 0:
+                concl = rules[rid][1]
+                if not result >> concl & 1:
+                    result |= 1 << concl
+                    todo.append(concl)
+    return result
+
+
+def unit_rule(ground, pmask, concl):
+    """A rule over `ground`, including the empty-premise rules that
+    `Implication` rejects but the closure operator still honours."""
+    if pmask:
+        return Implication(ElementSet(ground, pmask), concl)
+    rule = object.__new__(Implication)
+    object.__setattr__(rule, "premise", ElementSet.empty(ground))
+    object.__setattr__(rule, "conclusion", concl)
+    return rule
+
+
+@st.composite
+def rules_and_masks(draw):
+    """Small and wide ground sets, rules with empty, sparse and dense
+    premises, and dense, sparse and empty input masks."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(60, 300)))
+    g = GroundSet(f"e{i}" for i in range(n))
+    full = (1 << n) - 1
+    sparse = st.sets(st.integers(0, n - 1), max_size=4).map(
+        lambda ps: sum(1 << p for p in ps)
+    )
+    premises = st.one_of(st.just(0), sparse, st.integers(0, full))
+    rules = {}
+    for _ in range(draw(st.integers(0, 3 * n))):
+        concl = draw(st.integers(0, n - 1))
+        rules.setdefault((draw(premises) & ~(1 << concl), concl))
+    base = ImplicationalBase(g, [unit_rule(g, p, c) for p, c in rules])
+    masks = draw(st.lists(st.one_of(st.just(0), sparse, st.integers(0, full)), max_size=6))
+    return base, masks
+
+
+@settings(max_examples=60)
+@given(rules_and_masks())
+def test_closure_matches_counters_for_every_rule(data):
+    base, masks = data
+    for mask in masks:
+        assert closure_mask(base, mask) == closure_by_counters(base, mask)
 
 
 def test_closure_matches_smallest_closed_superset():

@@ -3,14 +3,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import family, make_base, sets_of
-from geodual import ElementSet, PreconditionError, SizeGuardError, formats, is_standard
+from conftest import DATA, family, layered_base, make_base, sets_of
+from geodual import (
+    ElementSet,
+    MeetFamily,
+    PreconditionError,
+    SizeGuardError,
+    critical_base,
+    formats,
+    is_standard,
+    meet_irreducibles,
+    recover_critical_base,
+)
 from geodual.hypergraphs import Hypergraph
-from geodual.implications import is_acyclic
+from geodual.implications import closure_mask, is_acyclic
 from geodual.oracle import (
     all_closed_sets,
     closed_set_masks,
+    family_meet_masks,
     intersection_closure,
     joins_brute,
     maximal_closed_avoiding,
@@ -67,7 +79,54 @@ class TestMeetsBrute:
         assert family(meets_brute(base)) == family(sets_of(base, "1", "2"))
 
 
+@st.composite
+def random_bases(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_ranked_base(rng, max_elements=12)
+    return random_acyclic_base(rng, max_elements=10)
+
+
+@settings(max_examples=60)
+@given(random_bases())
+def test_meets_brute_matches_family_scan(base):
+    # the closure table against the definition applied to the closed sets
+    full = (1 << base.ground.size) - 1
+    want = family_meet_masks(closed_set_masks(base), full)
+    assert [m.mask for m in meets_brute(base)] == want
+
+
+def test_ladder_rung_at_twenty_elements():
+    # Four levels of five elements, 38 426 closed sets: the largest rung
+    # under the guard.  ccm must find exactly the oracle's meets, and sid
+    # must turn them into the critical base.
+    base = layered_base(4, 5, 3, 2, seed=7)
+    assert base.ground.size == 20
+    brute = meets_brute(base)
+    full = (1 << base.ground.size) - 1
+    assert [m.mask for m in brute] == family_meet_masks(closed_set_masks(base), full)
+    meets = [meet for _, meet in meet_irreducibles(base)]
+    assert len(meets) == len(set(meets))
+    assert set(meets) == set(brute)
+    assert recover_critical_base(MeetFamily(base.ground, brute)) == critical_base(base)
+
+
+@pytest.mark.parametrize("reference", [meets_brute, joins_brute])
+def test_table_references_guarded(reference):
+    base = make_base(" ".join(f"x{i}" for i in range(21)), [])
+    with pytest.raises(SizeGuardError):
+        reference(base)
+
+
 class TestJoinsBrute:
+    def test_rung_singleton_closures(self):
+        base = formats.read_imp(DATA / "rung.imp")
+        closures = {closure_mask(base, 1 << j) for j in range(base.ground.size)}
+        got = [m.mask for m in joins_brute(base)]
+        assert len(got) == base.ground.size
+        assert set(got) == closures
+
+
     def test_crossed(self, crossed):
         want = sets_of(crossed, "1", "2", "1 2 3", "1 4", "2 5")
         assert family(joins_brute(crossed)) == family(want)
