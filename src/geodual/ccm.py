@@ -152,7 +152,7 @@ class MeetsAvoiding:
     gathered so far, and the same (B, rank) comes up again across
     branches and elements: each instance dualizes its level hypergraph
     once and keeps the branches for every later call.  Keep one instance
-    per base and backend.  A pickled copy starts with no branches kept.
+    per base and backend.
     """
 
     def __init__(
@@ -168,9 +168,6 @@ class MeetsAvoiding:
         self._prefixes = _rank_prefixes(rho)
         self._by_conclusion = _premises_by_conclusion(base)
         self._branches: dict[tuple[int, int], list[int]] = {}
-
-    def __reduce__(self):
-        return type(self), (self.base, self.rho, self.backend)
 
     def __call__(self, j: int) -> Iterator[int]:
         rank, bit = self.rho.ranks[j], 1 << j

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import InputError, PreconditionError, RelabelWarning
 from .implications import Implication, ImplicationalBase, is_closed_mask
-from .sets import ElementSet, GroundSet, Immutable, maximal_masks, sort_key_size_lex
+from .sets import ElementSet, GroundSet, Immutable, sort_key_size_lex
 from .sid import MeetFamily
 
 
@@ -70,15 +70,11 @@ def check_dual(base: ImplicationalBase, bplus: Antichain, bminus: Antichain) -> 
     disjoint and together cover all closed sets.  Decided by brute force
     over the whole lattice, so intended for small instances only.
     """
-    from .oracle import closed_set_masks
+    from .oracle import positive_antichain_masks
 
     _check_same_base(base, bplus, "positive")
     _check_same_base(base, bminus, "negative")
-    closed = closed_set_masks(base)
-    minus = bminus.masks()
-    expected = maximal_masks(
-        f for f in closed if not any(a & f == a for a in minus)
-    )
+    expected = positive_antichain_masks(base, bminus.masks())
     return sorted(bplus.masks(), key=sort_key_size_lex) == expected
 
 

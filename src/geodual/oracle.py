@@ -238,13 +238,15 @@ def maximal_closed_avoiding(
     base: ImplicationalBase, avoid: ElementSet, guard: bool = True
 ) -> tuple[ElementSet, ...]:
     """Maximal closed sets disjoint from `avoid`, from the full lattice."""
-    masks = closed_set_masks(base, guard=guard)
-    u = base.ground
-    disjoint = [m for m in masks if m & avoid.mask == 0]
-    return tuple(
-        ElementSet(u, m)
-        for m in sorted(maximal_masks(disjoint), key=sort_key_size_lex)
-    )
+    disjoint = (m for m in closed_set_masks(base, guard=guard) if not m & avoid.mask)
+    return tuple(ElementSet(base.ground, m) for m in maximal_masks(disjoint))
+
+
+def positive_antichain_masks(base: ImplicationalBase, minus: Sequence[int]) -> list[int]:
+    """The maximal closed sets containing no mask of `minus`, in size-lex
+    order: the positive antichain dual to the negative antichain `minus`."""
+    closed = closed_set_masks(base)
+    return maximal_masks(f for f in closed if not any(a & f == a for a in minus))
 
 
 def intersection_closure(ground: GroundSet, sets: Iterable[ElementSet]) -> list[int]:
@@ -463,10 +465,7 @@ def random_antichain_families(
             smask |= 1 << pos
         minus_masks.add(closure_mask(base, smask))
     minus = maximal_masks(m for m in minus_masks if m != 0)
-    closed = closed_set_masks(base)
-    plus = maximal_masks(
-        f for f in closed if not any(a & f == a for a in minus)
-    )
+    plus = positive_antichain_masks(base, minus)
     if not dual:
         drop = rng.randrange(len(plus))
         plus = plus[:drop] + plus[drop + 1 :]

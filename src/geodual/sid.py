@@ -73,12 +73,6 @@ class MeetFamily(Immutable):
         # The member index of `sid`, built on first use; see `_index`.
         object.__setattr__(self, "_index", None)
 
-    def __getstate__(self):
-        # The index stays out of pickles, and a copy rebuilds it on first use:
-        # it can be larger than the family, which `sid --jobs` pickles into
-        # every task.
-        return {"ground": self.ground, "meets": self.meets, "_index": None}
-
     def __len__(self) -> int:
         return len(self.meets)
 
@@ -100,13 +94,10 @@ class MeetFamily(Immutable):
 
 
 def closure_from_meets_mask(m: MeetFamily, smask: int) -> int:
-    """Intersection of the top with every member containing the mask."""
-    result = (1 << m.ground.size) - 1
-    for member in m.meets:
-        mm = member.mask
-        if smask & ~mm == 0:
-            result &= mm
-    return result
+    """Intersection of the top with every member containing the mask, read
+    from the family's index."""
+    ix = _index(m)
+    return _common(ix, _containing(ix, smask), (1 << m.ground.size) - 1)
 
 
 def closure_from_meets(m: MeetFamily, s: ElementSet) -> ElementSet:

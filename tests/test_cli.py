@@ -51,14 +51,6 @@ class TestCcm:
         assert code == 0
         assert out.splitlines() == ["2", "."]
 
-    def test_jobs_flag_matches_sequential(self, capsys, data_dir):
-        for name in ("layered.imp", "rung.imp"):
-            for flags in ((), ("--by-element",), ("--json",)):
-                code1, out1, _ = run(capsys, "ccm", data_dir / name, *flags)
-                code2, out2, _ = run(capsys, "ccm", data_dir / name, *flags, "--jobs", "2")
-                assert code1 == 0 and out1
-                assert (code1, out1) == (code2, out2), (name, flags)
-
     def test_rung_meets_match_oracle(self, capsys, data_dir):
         code, out, _ = run(capsys, "ccm", data_dir / "rung.imp")
         base = formats.read_imp(data_dir / "rung.imp")
@@ -94,13 +86,6 @@ class TestSid:
         code, _, err = run(capsys, "sid", bad)
         assert code == 1
         assert "bad.mf:2" in err
-
-    def test_jobs_flag_matches_sequential(self, capsys, data_dir):
-        for name in ("layered.mf", "rung.mf"):
-            code1, out1, _ = run(capsys, "sid", data_dir / name)
-            code2, out2, _ = run(capsys, "sid", data_dir / name, "--jobs", "2")
-            assert code1 == 0 and len(out1.splitlines()) > 1
-            assert (code1, out1) == (code2, out2), name
 
     def test_rung_recovers_critical_base(self, capsys, data_dir):
         code, out, _ = run(capsys, "sid", data_dir / "rung.mf")
@@ -398,14 +383,13 @@ class TestInputContract:
         assert err.startswith(f"error: {bad}")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_closed_pipe_exits_quietly(self, tmp_path, jobs):
+    def test_closed_pipe_exits_quietly(self, tmp_path):
         # No rules: 400 meets of about 1.5 kB each, far more than a 64 KiB
         # pipe buffer holds.
         big = tmp_path / "big.imp"
         big.write_text("elements: " + " ".join(str(i) for i in range(1, 401)) + "\n")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "geodual.cli", "ccm", str(big), "--jobs", jobs],
+            [sys.executable, "-m", "geodual.cli", "ccm", str(big)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -418,8 +402,8 @@ class TestInputContract:
 
 
 def test_cli_imports_no_private_names():
-    """CLI workers call the library's public per-element functions, never
-    private copies of them."""
+    """The CLI runs the library through its public functions, never private
+    copies of them."""
     tree = ast.parse((SRC / "geodual" / "cli.py").read_text())
     private = [
         f"{node.module}.{alias.name}"
@@ -463,31 +447,18 @@ def test_translation_path_imports_no_oracle_or_numpy():
     assert offenders == {}
 
 
-@pytest.mark.parametrize(
-    "command, cpus, workers",
-    [(("ccm", "layered.imp"), 3, 3), (("sid", "rung.mf"), None, 1)],
-)
-def test_jobs_capped_at_cpu_count(capsys, monkeypatch, data_dir, command, cpus, workers):
-    sizes = []
-
-    class InProcessPool:
-        """Stands in for `ProcessPoolExecutor`: records its size, starts nothing."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    name, path = command[0], data_dir / command[1]
-    serial = run(capsys, name, path)
-    assert run(capsys, name, path, "--jobs", "5000") == serial
-    assert sizes == [workers]
+@pytest.mark.parametrize("jobs", ["0", "1", "2", "5000"])
+def test_jobs_flag_is_ignored(capsys, data_dir, jobs):
+    # `--jobs` is still accepted on `ccm` and `sid`, and changes nothing.
+    commands = [
+        ("ccm", name, *flags)
+        for name in ("layered.imp", "rung.imp")
+        for flags in ((), ("--by-element",), ("--json",))
+    ] + [("sid", "layered.mf"), ("sid", "rung.mf")]
+    for command, name, *flags in commands:
+        plain = run(capsys, command, data_dir / name, *flags)
+        assert plain[0] == 0 and len(plain[1].splitlines()) > 1
+        assert run(capsys, command, data_dir / name, *flags, "--jobs", jobs) == plain
 
 
 # Modules that each translation command must leave unloaded: the modules of
@@ -496,27 +467,36 @@ def test_jobs_capped_at_cpu_count(capsys, monkeypatch, data_dir, command, cpus, 
 NOT_LOADED_BY = {
     ("ccm", "rung.imp"): (
         "geodual.sid", "geodual.critical", "geodual.dualization", "dataclasses",
-        "logging", "concurrent.futures.process", "multiprocessing", "numpy",
+        "logging", "concurrent.futures", "multiprocessing", "numpy",
     ),
     ("sid", "rung.mf"): (
         "geodual.ccm", "geodual.ranking", "dataclasses",
-        "concurrent.futures.process", "multiprocessing", "numpy",
+        "concurrent.futures", "multiprocessing", "numpy",
     ),
 }
 
 
-@pytest.mark.parametrize("command", NOT_LOADED_BY, ids=lambda command: command[0])
-def test_translation_commands_load_only_what_they_run(data_dir, command):
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        pytest.param(command, flags, id=command[0] + suffix)
+        for flags, suffix in (((), ""), (("--jobs", "2"), "-jobs2"))
+        for command in NOT_LOADED_BY
+    ],
+)
+def test_translation_commands_load_only_what_they_run(data_dir, command, flags):
     script = (
         "import sys\n"
         "from geodual.cli import main\n"
-        "code = main(sys.argv[1:3])\n"
-        "sys.stderr.write(repr([m for m in sys.argv[3:] if m in sys.modules]))\n"
+        "cut = sys.argv.index('--')\n"
+        "code = main(sys.argv[1:cut])\n"
+        "sys.stderr.write(repr([m for m in sys.argv[cut + 1:] if m in sys.modules]))\n"
         "sys.exit(code)\n"
     )
     name, path = command
     proc = subprocess.run(
-        [sys.executable, "-c", script, name, str(data_dir / path), *NOT_LOADED_BY[command]],
+        [sys.executable, "-c", script, name, str(data_dir / path), *flags, "--",
+         *NOT_LOADED_BY[command]],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),

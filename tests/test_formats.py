@@ -138,8 +138,8 @@ def test_format_mask_at_chunk_edges(n):
 
 
 def test_meet_family_pickles_before_and_after_its_index(data_dir):
-    # `sid --jobs` pickles the family into every task, after the partition
-    # has built the family's member index.
+    # A copy made before the partition builds the member index, and one made
+    # after, equal the original and partition it alike.
     family = MeetFamily(*read_mf(data_dir / "rung.mf"))
     fresh = pickle.loads(pickle.dumps(family))
     partition = partition_meets(family)

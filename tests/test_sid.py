@@ -39,7 +39,7 @@ from geodual.oracle import (
     random_ranked_base,
 )
 from geodual.sets import iter_bits
-from geodual.sid import iter_recovered_implications
+from geodual.sid import closure_from_meets_mask, iter_recovered_implications
 
 
 @pytest.fixture
@@ -104,6 +104,25 @@ class TestClosureFromMeets:
     def test_universe_mismatch(self, layered_meets, crossed):
         with pytest.raises(InputError):
             closure_from_meets(layered_meets, ElementSet.empty(crossed.ground))
+
+    def test_index_matches_scan_on_rung_subsets(self):
+        # Every subset of the first 12 of rung.mf's 18 elements.
+        fam = MeetFamily(*formats.read_mf(DATA / "rung.mf"))
+        for mask in range(1 << 12):
+            assert closure_from_meets_mask(fam, mask) == closure_by_scan(fam, mask)
+
+    def test_index_matches_scan_at_ladder_size(self):
+        # Random masks of every density on an L4 w8 family, its members, and
+        # the empty and full sets.
+        fam = layered_meet_family(4, 8, 3, 2, seed=9)
+        n = fam.ground.size
+        rng = random.Random(61)
+        masks = [0, (1 << n) - 1] + [member.mask for member in fam.meets[::50]]
+        for _ in range(400):
+            density = rng.random()
+            masks.append(sum(1 << a for a in range(n) if rng.random() < density))
+        for mask in masks:
+            assert closure_from_meets_mask(fam, mask) == closure_by_scan(fam, mask)
 
 
 class TestPartitionMeets:
@@ -306,6 +325,16 @@ def without_message(result):
     return result.type if isinstance(result, Raised) else result
 
 
+def closure_by_scan(fam, smask):
+    """Intersection of the top with every member containing `smask`, by one
+    pass over the family; `closure_from_meets_mask` before the member index."""
+    result = (1 << fam.ground.size) - 1
+    for member in fam.meets:
+        if not smask & ~member.mask:
+            result &= member.mask
+    return result
+
+
 def extension_closures(fam, xmask):
     """Closure of `xmask` plus a, for every position a, in one family pass.
 
@@ -374,7 +403,7 @@ def closed_extensions(fam, s):
     return [
         a
         for a in range(fam.ground.size)
-        if a not in s and closure_from_meets(fam, s.with_element(a)) == s.with_element(a)
+        if a not in s and closure_by_scan(fam, s.mask | 1 << a) == s.mask | 1 << a
     ]
 
 
