@@ -112,7 +112,6 @@ def maximal_avoiding_sets(
     rho: RankFunction,
     b: RankedSet,
     c: ElementSet,
-    backend: DualizationBackend | None = None,
 ) -> Iterator[ElementSet]:
     """Recursive enumeration of the maximal closed sets disjoint from `b`.
 
@@ -125,7 +124,7 @@ def maximal_avoiding_sets(
     _check_ranked_set(rho, b)
     if c.mask & b.members.mask:
         raise PreconditionError("the accumulated region must avoid the target set")
-    streams = MeetsAvoiding(base, rho, backend)
+    streams = MeetsAvoiding(base, rho)
     for mask in streams._recurse(b.members.mask, b.rank, c.mask):
         yield ElementSet(base.ground, mask)
 

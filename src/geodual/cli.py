@@ -318,28 +318,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help=".imp input")
     p.set_defaults(func=cmd_roundtrip)
 
+    # One parser per oracle command, so that options may come before the file.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("file", nargs="?", help="input file where applicable")
+    common.add_argument("--target", help="target element label for mingens")
+    common.add_argument("--seed", type=int, default=0, help="seed for the generators")
+    common.add_argument("--max-elements", type=int, default=8)
+    common.add_argument("--max-implications", type=int, default=16)
+    common.add_argument("--json", action="store_true")
     p = sub.add_parser("oracle", help="brute-force references, for debugging")
-    p.add_argument(
-        "oracle_command",
-        choices=[
-            "closed-sets",
-            "meets",
-            "joins",
-            "mingens",
-            "transversals",
-            "partition",
-            "gen-ranked",
-            "gen-acyclic",
-            "gen-hypergraph",
-        ],
-    )
-    p.add_argument("file", nargs="?", help="input file where applicable")
-    p.add_argument("--target", help="target element label for mingens")
-    p.add_argument("--seed", type=int, default=0, help="seed for the generators")
-    p.add_argument("--max-elements", type=int, default=8)
-    p.add_argument("--max-implications", type=int, default=16)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_oracle)
+    oracle = p.add_subparsers(dest="oracle_command", required=True)
+    for name in (
+        "closed-sets",
+        "meets",
+        "joins",
+        "mingens",
+        "transversals",
+        "partition",
+        "gen-ranked",
+        "gen-acyclic",
+        "gen-hypergraph",
+    ):
+        oracle.add_parser(name, parents=[common]).set_defaults(func=cmd_oracle)
 
     return parser
 

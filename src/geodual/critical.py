@@ -10,7 +10,9 @@ dimension, which is what desk-scale and bounded-dimension bases need.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
+from typing import Callable
 
 from .errors import PreconditionError
 from .implications import (
@@ -40,23 +42,20 @@ def _require_acyclic(base: ImplicationalBase) -> None:
         raise PreconditionError("operation requires an acyclic implicational base")
 
 
-def _is_mingen_mask(base: ImplicationalBase, amask: int, target: int) -> bool:
+def _is_mingen_mask(close: Callable[[int], int], amask: int, target: int) -> bool:
+    """Whether `amask` minimally implies `target` under the closure `close`."""
     tbit = 1 << target
-    if amask & tbit or not closure_mask(base, amask) & tbit:
+    if amask & tbit or not close(amask) & tbit:
         return False
-    return all(
-        not closure_mask(base, amask & ~(1 << x)) & tbit for x in iter_bits(amask)
-    )
+    return all(not close(amask & ~(1 << x)) & tbit for x in iter_bits(amask))
 
 
-def _is_redundant_mask(base: ImplicationalBase, amask: int, target: int) -> bool:
+def _is_redundant_mask(close: Callable[[int], int], amask: int, target: int) -> bool:
     # Redundant when pruning one generator element (and the target) from
     # the generator's closure still re-implies the target.
     tbit = 1 << target
-    cl = closure_mask(base, amask)
-    return any(
-        closure_mask(base, cl & ~(1 << a) & ~tbit) & tbit for a in iter_bits(amask)
-    )
+    cl = close(amask)
+    return any(close(cl & ~(1 << a) & ~tbit) & tbit for a in iter_bits(amask))
 
 
 def is_redundant(base: ImplicationalBase, gen: MinimalGenerator) -> bool:
@@ -66,13 +65,14 @@ def is_redundant(base: ImplicationalBase, gen: MinimalGenerator) -> bool:
     verified.
     """
     _require_acyclic(base)
+    close = partial(closure_mask, base)
     amask = gen.generator.mask
-    if not _is_mingen_mask(base, amask, gen.target):
+    if not _is_mingen_mask(close, amask, gen.target):
         raise PreconditionError(
             f"{gen.generator!r} is not a minimal generator of "
             f"{base.ground.labels[gen.target]!r}"
         )
-    return _is_redundant_mask(base, amask, gen.target)
+    return _is_redundant_mask(close, amask, gen.target)
 
 
 def _mingens_within(base: ImplicationalBase, region_mask: int, target: int) -> list[int]:
@@ -105,13 +105,14 @@ def critical_base(base: ImplicationalBase) -> ImplicationalBase:
     """
     _require_acyclic(base)
     ground = base.ground
+    close = partial(closure_mask, base)
     kept: set[tuple[int, int]] = set()
     for imp in base.implications:
         target = imp.conclusion
         for amask in _mingens_within(base, imp.premise.mask, target):
             if (amask, target) in kept:
                 continue
-            if not _is_redundant_mask(base, amask, target):
+            if not _is_redundant_mask(close, amask, target):
                 kept.add((amask, target))
     implications = [
         Implication(ElementSet(ground, amask), target)

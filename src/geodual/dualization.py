@@ -78,16 +78,16 @@ def check_dual(base: ImplicationalBase, bplus: Antichain, bminus: Antichain) -> 
     return sorted(bplus.masks(), key=sort_key_size_lex) == expected
 
 
-def fresh_label(ground: GroundSet, stem: str = "z") -> str:
-    """`stem` if unused, else the first free `stem<k>`; warns on renaming."""
-    if stem not in ground.index:
-        return stem
+def fresh_label(ground: GroundSet) -> str:
+    """``z`` if unused, else the first free ``z<k>``; warns on renaming."""
+    if "z" not in ground.index:
+        return "z"
     k = 1
-    while f"{stem}{k}" in ground.index:
+    while f"z{k}" in ground.index:
         k += 1
-    label = f"{stem}{k}"
+    label = f"z{k}"
     warnings.warn(
-        f"label {stem!r} already taken; using {label!r} for the fresh element",
+        f"label 'z' already taken; using {label!r} for the fresh element",
         RelabelWarning,
         stacklevel=2,
     )

@@ -36,7 +36,7 @@ class Hypergraph(Immutable):
     used by transversal computations is derived on demand.
     """
 
-    __slots__ = ("vertices", "edges", "_reduced")
+    __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices: ElementSet, edges: Iterable[ElementSet] = ()):
         edges = tuple(edges)
@@ -46,7 +46,6 @@ class Hypergraph(Immutable):
                 raise InputError(f"edge {e!r} is not contained in the vertex set")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_reduced", None)
 
     @property
     def universe(self) -> GroundSet:
@@ -58,11 +57,7 @@ class Hypergraph(Immutable):
 
     def reduced_edge_masks(self) -> tuple[int, ...]:
         """Inclusion-minimal, duplicate-free edges, canonically ordered."""
-        cached = self._reduced
-        if cached is None:
-            cached = tuple(minimal_masks(e.mask for e in self.edges))
-            object.__setattr__(self, "_reduced", cached)
-        return cached
+        return tuple(minimal_masks(e.mask for e in self.edges))
 
     def reduced_edges(self) -> tuple[ElementSet, ...]:
         u = self.universe
@@ -215,9 +210,7 @@ def minimal_transversals(
         yield ElementSet(u, mask)
 
 
-def maximal_independent_sets(
-    h: Hypergraph, backend: DualizationBackend | None = None
-) -> Iterator[ElementSet]:
+def maximal_independent_sets(h: Hypergraph) -> Iterator[ElementSet]:
     """Stream the maximal independent sets of `h`.
 
     Computed as vertex-set complements of the minimal transversals; with
@@ -225,7 +218,7 @@ def maximal_independent_sets(
     lexicographic on the ascending position sequence.
     """
     u = h.universe
-    for mask in independent_masks(h.vertices.mask, (e.mask for e in h.edges), backend):
+    for mask in independent_masks(h.vertices.mask, (e.mask for e in h.edges)):
         yield ElementSet(u, mask)
 
 

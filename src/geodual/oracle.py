@@ -2,8 +2,8 @@
 
 Everything here exists to cross-check the streaming algorithms at desk
 scale and is never on a hot path.  Exhaustive scans are guarded by hard
-size limits; set ``GEODUAL_GUARD_OVERRIDE=1`` or pass ``guard=False`` to
-lift them.
+size limits; only the environment variable ``GEODUAL_GUARD_OVERRIDE=1``
+lifts them.
 
 The closed sets come from filtering all 2^n subsets by the rules; the
 meets and joins from a closure table over the same subsets, built from
@@ -42,24 +42,22 @@ CLOSED_SET_GUARD = 20
 TRANSVERSAL_GUARD = 16
 
 
-def _guard(value: int, limit: int, what: str, guard: bool) -> None:
-    if not guard or os.environ.get(GUARD_ENV) == "1":
-        return
-    if value > limit:
+def _guard(value: int, limit: int, what: str) -> None:
+    if value > limit and os.environ.get(GUARD_ENV) != "1":
         raise SizeGuardError(
             f"{what} of size {value} exceeds the brute-force guard of {limit}; "
-            f"pass guard=False or set {GUARD_ENV}=1 to override"
+            f"set {GUARD_ENV}=1 to override"
         )
 
 
 # -- exhaustive references --------------------------------------------------
 
 
-def _closed_flags(base: ImplicationalBase, guard: bool) -> np.ndarray:
+def _closed_flags(base: ImplicationalBase) -> np.ndarray:
     """One flag per subset of the ground set, indexed by its mask: set
     where the subset satisfies every rule of `base`."""
     n = base.ground.size
-    _guard(n, CLOSED_SET_GUARD, "ground set", guard)
+    _guard(n, CLOSED_SET_GUARD, "ground set")
     masks = np.arange(1 << n, dtype=np.uint32)
     keep = np.ones(masks.shape, dtype=bool)
     for pmask, concl, _ in base._rules:
@@ -67,14 +65,14 @@ def _closed_flags(base: ImplicationalBase, guard: bool) -> np.ndarray:
     return keep
 
 
-def _closure_table(base: ImplicationalBase, guard: bool) -> tuple[np.ndarray, np.ndarray]:
+def _closure_table(base: ImplicationalBase) -> tuple[np.ndarray, np.ndarray]:
     """The closed masks, ascending, and the closure of every subset.
 
     Entry x of the table starts as x where x is closed and as the full set
     elsewhere; one superset-AND pass per element then leaves in it the
     intersection of the closed sets containing x.  Cost n * 2^n.
     """
-    flags = _closed_flags(base, guard)
+    flags = _closed_flags(base)
     n = base.ground.size
     closed = np.flatnonzero(flags).astype(np.uint32)
     table = np.full(flags.shape, (1 << n) - 1, dtype=np.uint32)
@@ -90,15 +88,15 @@ def _sorted_masks(arr: np.ndarray) -> list[int]:
     return sorted(arr.tolist(), key=sort_key_size_lex)
 
 
-def closed_set_masks(base: ImplicationalBase, guard: bool = True) -> list[int]:
+def closed_set_masks(base: ImplicationalBase) -> list[int]:
     """Masks of all closed sets, sorted by size then position sequence."""
-    return _sorted_masks(np.flatnonzero(_closed_flags(base, guard)))
+    return _sorted_masks(np.flatnonzero(_closed_flags(base)))
 
 
-def all_closed_sets(base: ImplicationalBase, guard: bool = True) -> tuple[ElementSet, ...]:
+def all_closed_sets(base: ImplicationalBase) -> tuple[ElementSet, ...]:
     """Every closed set of `base`, by exhaustive filtering of all subsets."""
     u = base.ground
-    return tuple(ElementSet(u, m) for m in closed_set_masks(base, guard=guard))
+    return tuple(ElementSet(u, m) for m in closed_set_masks(base))
 
 
 def family_meet_masks(family: Sequence[int], full: int) -> list[int]:
@@ -106,17 +104,26 @@ def family_meet_masks(family: Sequence[int], full: int) -> list[int]:
 
     A member below the top is meet-irreducible exactly when the
     intersection of its proper supersets in the family differs from it.
-    One scan of the family per member, so quadratic in the family.
+    One scan of the family per member, so quadratic in the family.  The
+    members are held as columns of 64-bit words, so any ground set fits.
     """
-    arr = np.array(sorted(set(family)), dtype=np.uint64)
+    members = sorted(set(family))
+    columns = [
+        np.array([m >> shift & 0xFFFFFFFFFFFFFFFF for m in members], dtype=np.uint64)
+        for shift in range(0, max(full.bit_length(), 1), 64)
+    ]
     out = []
-    for m in arr:
-        if int(m) == full:
+    for i, m in enumerate(members):
+        if m == full:
             continue
-        above = arr[(arr & m) == m]
-        above = above[above != m]
-        if above.size and int(np.bitwise_and.reduce(above)) != int(m):
-            out.append(int(m))
+        # A proper superset is a larger integer, so it comes after m.
+        tails = [(column[i + 1 :], column[i]) for column in columns]
+        above = np.ones(len(members) - i - 1, dtype=bool)
+        for tail, word in tails:
+            above &= (tail & word) == word
+        above = np.flatnonzero(above)
+        if above.size and any(np.bitwise_and.reduce(t[above]) != w for t, w in tails):
+            out.append(m)
     return sorted(out, key=sort_key_size_lex)
 
 
@@ -127,7 +134,7 @@ def _extensions(closed: np.ndarray, table: np.ndarray, a: int) -> tuple[np.ndarr
     return (closed & bit) == 0, table[closed | bit]
 
 
-def meets_brute(base: ImplicationalBase, guard: bool = True) -> tuple[ElementSet, ...]:
+def meets_brute(base: ImplicationalBase) -> tuple[ElementSet, ...]:
     """The meet-irreducible closed sets, by cover analysis of the lattice.
 
     Every proper closed superset of a closed M contains M + a for some a
@@ -136,7 +143,7 @@ def meets_brute(base: ImplicationalBase, guard: bool = True) -> tuple[ElementSet
     closure table.  M is a meet exactly when that AND differs from M.
     Cost n * 2^n, under a second at the guard.
     """
-    closed, table = _closure_table(base, guard)
+    closed, table = _closure_table(base)
     above = np.full(closed.shape, (1 << base.ground.size) - 1, dtype=np.uint32)
     for a in range(base.ground.size):
         outside, grown = _extensions(closed, table, a)
@@ -145,7 +152,7 @@ def meets_brute(base: ImplicationalBase, guard: bool = True) -> tuple[ElementSet
     return tuple(ElementSet(u, m) for m in _sorted_masks(closed[above != closed]))
 
 
-def joins_brute(base: ImplicationalBase, guard: bool = True) -> tuple[ElementSet, ...]:
+def joins_brute(base: ImplicationalBase) -> tuple[ElementSet, ...]:
     """The join-irreducible closed sets, cross-checked two ways.
 
     Computed as the closures of singletons; compared against the closed
@@ -158,7 +165,7 @@ def joins_brute(base: ImplicationalBase, guard: bool = True) -> tuple[ElementSet
     closed sets per pair of elements, so cost n^2 * (closed sets) on top
     of the n * 2^n table.
     """
-    closed, table = _closure_table(base, guard)
+    closed, table = _closure_table(base)
     n = base.ground.size
     closures = [int(table[1 << j]) for j in range(n)]
     singleton_closures = sorted(set(closures), key=sort_key_size_lex)
@@ -188,14 +195,12 @@ def joins_brute(base: ImplicationalBase, guard: bool = True) -> tuple[ElementSet
     return tuple(ElementSet(u, m) for m in singleton_closures)
 
 
-def mingens_brute(
-    base: ImplicationalBase, target: int, guard: bool = True
-) -> tuple[ElementSet, ...]:
+def mingens_brute(base: ImplicationalBase, target: int) -> tuple[ElementSet, ...]:
     """All minimal generators of `target`, by exhaustive subset filtering."""
     from itertools import combinations
 
     n = base.ground.size
-    _guard(n, CLOSED_SET_GUARD, "ground set", guard)
+    _guard(n, CLOSED_SET_GUARD, "ground set")
     tbit = 1 << target
     others = [p for p in range(n) if p != target]
     found: list[int] = []
@@ -212,12 +217,12 @@ def mingens_brute(
     return tuple(ElementSet(u, m) for m in sorted(found, key=sort_key_size_lex))
 
 
-def transversals_brute(h: Hypergraph, guard: bool = True) -> tuple[ElementSet, ...]:
+def transversals_brute(h: Hypergraph) -> tuple[ElementSet, ...]:
     """All minimal transversals, by exhaustive subset filtering."""
     from itertools import combinations
 
     nverts = len(h.vertices)
-    _guard(nverts, TRANSVERSAL_GUARD, "vertex set", guard)
+    _guard(nverts, TRANSVERSAL_GUARD, "vertex set")
     edges = [e.mask for e in h.edges]
     positions = h.vertices.indices()
     found: list[int] = []
@@ -234,11 +239,9 @@ def transversals_brute(h: Hypergraph, guard: bool = True) -> tuple[ElementSet, .
     return tuple(ElementSet(u, m) for m in sorted(found, key=sort_key_size_lex))
 
 
-def maximal_closed_avoiding(
-    base: ImplicationalBase, avoid: ElementSet, guard: bool = True
-) -> tuple[ElementSet, ...]:
+def maximal_closed_avoiding(base: ImplicationalBase, avoid: ElementSet) -> tuple[ElementSet, ...]:
     """Maximal closed sets disjoint from `avoid`, from the full lattice."""
-    disjoint = (m for m in closed_set_masks(base, guard=guard) if not m & avoid.mask)
+    disjoint = (m for m in closed_set_masks(base) if not m & avoid.mask)
     return tuple(ElementSet(base.ground, m) for m in maximal_masks(disjoint))
 
 
@@ -342,7 +345,6 @@ def random_ranked_base(
     rng: random.Random,
     max_elements: int = 12,
     max_implications: int = 30,
-    min_elements: int = 2,
 ) -> ImplicationalBase:
     """A random base that admits a rank function by construction.
 
@@ -352,7 +354,7 @@ def random_ranked_base(
     this way always pass.
     """
     while True:
-        n = rng.randint(min_elements, max_elements)
+        n = rng.randint(2, max_elements)
         ground = _labels(n)
         parts = rng.randint(2, min(n, 5))
         levels = _random_level_split(rng, n, parts)
@@ -379,12 +381,11 @@ def random_acyclic_base(
     rng: random.Random,
     max_elements: int = 10,
     max_implications: int = 20,
-    min_elements: int = 2,
 ) -> ImplicationalBase:
     """A random acyclic base: premises sit above their conclusion in a
     random topological order.  Standardness is enforced by rejection."""
     while True:
-        n = rng.randint(min_elements, max_elements)
+        n = rng.randint(2, max_elements)
         ground = _labels(n)
         topo = list(range(n))
         rng.shuffle(topo)  # topo[i] is the i-th element bottom-up
@@ -407,11 +408,9 @@ def random_acyclic_base(
             return base
 
 
-def random_distributive_base(
-    rng: random.Random, max_elements: int = 8, min_elements: int = 2
-) -> ImplicationalBase:
+def random_distributive_base(rng: random.Random, max_elements: int = 8) -> ImplicationalBase:
     """A random acyclic base with singleton premises."""
-    n = rng.randint(min_elements, max_elements)
+    n = rng.randint(2, max_elements)
     ground = _labels(n)
     topo = list(range(n))
     rng.shuffle(topo)
@@ -475,13 +474,12 @@ def random_antichain_families(
     )
 
 
-def perturb_until_unranked(
-    rng: random.Random, base: ImplicationalBase, max_tries: int = 200
-) -> ImplicationalBase:
-    """Add random implications to `base` until no rank function exists."""
+def perturb_until_unranked(rng: random.Random, base: ImplicationalBase) -> ImplicationalBase:
+    """Add random implications to `base` until no rank function exists,
+    giving up after 200 tries."""
     n = base.ground.size
     current = base
-    for _ in range(max_tries):
+    for _ in range(200):
         if isinstance(compute_rank(current), RankConflict):
             return current
         concl = rng.randrange(n)

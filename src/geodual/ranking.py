@@ -10,6 +10,7 @@ component of the implication graph and then normalized to start at 0.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Union
 
 from .errors import InputError
@@ -162,7 +163,10 @@ def check_unranked_certificate(meets, cert: UnrankedCertificate) -> bool:
     generator, and critical, and the listed implications alone admit no
     rank function.
     """
-    from .sid import MeetFamily, closure_from_meets_mask  # local to avoid a cycle
+    # Imported here: `critical` imports this module, and `ccm`, which
+    # imports it too, must not load `sid`.
+    from .critical import _is_mingen_mask, _is_redundant_mask
+    from .sid import MeetFamily, closure_from_meets_mask
 
     if not isinstance(meets, MeetFamily):
         raise InputError("expected a MeetFamily")
@@ -171,24 +175,10 @@ def check_unranked_certificate(meets, cert: UnrankedCertificate) -> bool:
         if imp.universe != ground:
             raise InputError("certificate lives on a different ground set")
 
+    close = partial(closure_from_meets_mask, meets)
     for imp in cert.implications:
-        amask = imp.premise.mask
-        b = imp.conclusion
-        bbit = 1 << b
-        # validity: the premise implies the conclusion
-        if not closure_from_meets_mask(meets, amask) & bbit:
-            return False
-        # minimality: no premise element is dispensable
-        for a in iter_bits(amask):
-            if closure_from_meets_mask(meets, amask & ~(1 << a)) & bbit:
-                return False
-        # criticality: no pruned closure re-implies the conclusion
-        cl = closure_from_meets_mask(meets, amask)
-        redundant = any(
-            closure_from_meets_mask(meets, cl & ~(1 << a) & ~bbit) & bbit
-            for a in iter_bits(amask)
-        )
-        if redundant:
+        amask, b = imp.premise.mask, imp.conclusion
+        if not _is_mingen_mask(close, amask, b) or _is_redundant_mask(close, amask, b):
             return False
 
     certificate_base = ImplicationalBase(ground, cert.implications)

@@ -362,7 +362,6 @@ def recover_critical_base(
     m: MeetFamily,
     verify: bool = False,
     strict: bool = False,
-    backend: DualizationBackend | None = None,
 ) -> ImplicationalBase:
     """Build the unit-minimum base whose meet-irreducible family is `m`.
 
@@ -382,12 +381,12 @@ def recover_critical_base(
                 f"{len(bogus)} member(s) are not meet-irreducible in the family's "
                 f"intersection closure, e.g. {bogus[0]!r}"
             )
-    base = ImplicationalBase(m.ground, tuple(iter_recovered_implications(m, backend)))
+    base = ImplicationalBase(m.ground, tuple(iter_recovered_implications(m)))
     if verify:
         from .ccm import meet_irreducibles  # only `verify` needs ccm
 
         try:
-            recomputed = {meet.mask for _, meet in meet_irreducibles(base, backend)}
+            recomputed = {meet.mask for _, meet in meet_irreducibles(base)}
         except NotRankedError as exc:
             raise VerificationError(
                 f"recovered base admits no rank function ({exc}); the input "

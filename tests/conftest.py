@@ -94,6 +94,13 @@ def family(items):
     return frozenset(s.indices() for s in items)
 
 
+@pytest.fixture(autouse=True)
+def _guards_in_force(monkeypatch):
+    """The oracle's size guards hold in every test, even when the shell
+    exports the override; a test that needs it sets it itself."""
+    monkeypatch.delenv("GEODUAL_GUARD_OVERRIDE", raising=False)
+
+
 @pytest.fixture
 def data_dir():
     return DATA

@@ -290,6 +290,30 @@ class TestOracleCommands:
         code, out, _ = run(capsys, "oracle", "gen-hypergraph", "--seed", "5")
         parse_hg(out)
 
+    def test_size_guards(self, capsys, monkeypatch, tmp_path):
+        chain = tmp_path / "chain21.imp"
+        chain.write_text(
+            "elements: " + " ".join(f"x{i}" for i in range(21)) + "\n"
+            + "".join(f"x{i} -> x{i + 1}\n" for i in range(20))
+        )
+        wide = tmp_path / "wide.hg"
+        wide.write_text("vertices: " + " ".join(f"v{i}" for i in range(17)) + "\n")
+        for argv in (
+            ("closed-sets", chain),
+            ("meets", chain),
+            ("joins", chain),
+            ("mingens", chain, "--target", "x0"),
+            ("transversals", wide),
+        ):
+            code, out, err = run(capsys, "oracle", *argv)
+            assert code == 2
+            assert len(err.splitlines()) == 1
+            assert "GEODUAL_GUARD_OVERRIDE" in err and "Traceback" not in err
+        monkeypatch.setenv("GEODUAL_GUARD_OVERRIDE", "1")
+        code, out, _ = run(capsys, "oracle", "closed-sets", chain)
+        assert code == 0
+        assert len(out.splitlines()) == 22
+
     def test_missing_file_reported(self, capsys):
         code, _, err = run(capsys, "oracle", "closed-sets")
         assert code == 1
@@ -343,6 +367,8 @@ BAD_INPUT_COMMANDS = [
     ("oracle", "mingens", "{f}", "--target", "j"),
     ("oracle", "transversals", "{f}"),
     ("oracle", "partition", "{f}"),
+    ("oracle", "meets", "--json", "{f}"),
+    ("oracle", "mingens", "--target", "j", "{f}"),
 ]
 
 
@@ -351,7 +377,9 @@ class TestInputContract:
         "kind", ["binary", "directory", "unreadable", "malformed", "oversized"]
     )
     @pytest.mark.parametrize(
-        "command", BAD_INPUT_COMMANDS, ids=lambda c: "-".join(p for p in c[:2] if "{" not in p)
+        "command",
+        BAD_INPUT_COMMANDS,
+        ids=lambda c: "-".join(p.lstrip("-") for p in c[: c.index("{f}")]),
     )
     def test_unreadable_input_exits_1(
         self, capsys, monkeypatch, data_dir, tmp_path, command, kind

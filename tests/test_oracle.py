@@ -96,6 +96,12 @@ def test_meets_brute_matches_family_scan(base):
     assert [m.mask for m in meets_brute(base)] == want
 
 
+def test_family_scan_past_sixty_four_elements():
+    full = (1 << 70) - 1
+    family = [full, full ^ 1, full ^ 2, full ^ 3]
+    assert family_meet_masks(family, full) == [full ^ 2, full ^ 1]
+
+
 def test_ladder_rung_at_twenty_elements():
     # Four levels of five elements, 38 426 closed sets: the largest rung
     # under the guard.  ccm must find exactly the oracle's meets, and sid
