@@ -152,6 +152,13 @@ class MeetsAvoiding:
     branches and elements: each instance dualizes its level hypergraph
     once and keeps the branches for every later call.  Keep one instance
     per base and backend.
+
+    The walk keeps the nodes still to visit on an explicit stack rather
+    than in nested generators: a node pushes its children in reverse
+    branch order, so they are popped, and their meets streamed, in the
+    order of the recursion, and a node one rank below the top yields
+    its leaves' regions directly.  A meet then costs a pop, not a resume
+    of every generator on its path.
     """
 
     def __init__(
@@ -175,19 +182,30 @@ class MeetsAvoiding:
     def _recurse(self, bmask: int, rank: int, cmask: int) -> Iterator[int]:
         """Maximal closed supersets of `cmask` avoiding `bmask`, whose
         members all have rank `rank`, ranks above it still open."""
-        prefixes = self._prefixes
-        if rank + 1 >= len(prefixes):
-            yield cmask
-            return
-        up = prefixes[rank + 1] & ~prefixes[rank]
-        # Keyed by the rank too: an empty B occurs at any rank.
-        branches = self._branches.get((bmask, rank))
-        if branches is None:
-            premises = _premises(self._by_conclusion, bmask)
-            branches = independent_masks(up, premises, self.backend)
-            self._branches[bmask, rank] = branches
-        for s in branches:
-            yield from self._recurse(up & ~s, rank + 1, cmask | s)
+        prefixes, memo = self._prefixes, self._branches
+        top = len(prefixes) - 1
+        # Nodes (B, rank, C) still to visit, the next one last.
+        stack = [(bmask, rank, cmask)]
+        pop, push = stack.pop, stack.extend
+        while stack:
+            bmask, rank, cmask = pop()
+            if rank >= top:
+                yield cmask
+                continue
+            up = prefixes[rank + 1] & ~prefixes[rank]
+            # Keyed by the rank too: an empty B occurs at any rank.
+            branches = memo.get((bmask, rank))
+            if branches is None:
+                premises = _premises(self._by_conclusion, bmask)
+                branches = independent_masks(up, premises, self.backend)
+                memo[bmask, rank] = branches
+            rank += 1
+            if rank == top:
+                # The children are leaves: yield their regions in order.
+                for s in branches:
+                    yield cmask | s
+            else:
+                push([(up & ~s, rank, cmask | s) for s in reversed(branches)])
 
 
 def meet_irreducibles(

@@ -51,26 +51,32 @@ def cmd_ccm(args) -> int:
     from .ccm import MeetsAvoiding, ranked
 
     base = formats.read_imp(args.file)
-    line = _meet_line(args, base.ground)
+    ground = base.ground
     meets_avoiding = MeetsAvoiding(base, ranked(base))
-    for j in range(base.ground.size):
-        for mask in meets_avoiding(j):
-            _println(line(j, mask))
-    return 0
-
-
-def _meet_line(args, ground):
-    """The output line of a meet, as a function of its element and its mask."""
-    labels = ground.labels
+    # Each line goes to the byte stream under stdout as one encoded write
+    # and one flush, without a pass through the text layer.
+    stdout = sys.stdout
+    stdout.flush()
+    encoding, errors = stdout.encoding, stdout.errors
+    write, flush = stdout.buffer.write, stdout.buffer.flush
+    labels, join = ground.labels, ground.join_labels
     if args.json:
         import json
 
-        return lambda j, mask: json.dumps(
-            {"element": labels[j], "meet": list(ElementSet(ground, mask).labels())}
-        )
-    if args.by_element:
-        return lambda j, mask: f"{labels[j]}: {formats.format_mask(ground, mask)}"
-    return lambda j, mask: formats.format_mask(ground, mask)
+        for j in range(ground.size):
+            for mask in meets_avoiding(j):
+                meet = list(ElementSet(ground, mask).labels())
+                line = json.dumps({"element": labels[j], "meet": meet}) + "\n"
+                write(line.encode(encoding, errors))
+                flush()
+        return 0
+    empty = formats.EMPTY_SET_TOKEN
+    for j in range(ground.size):
+        prefix = f"{labels[j]}: " if args.by_element else ""
+        for mask in meets_avoiding(j):
+            write(f"{prefix}{join(mask) or empty}\n".encode(encoding, errors))
+            flush()
+    return 0
 
 
 def cmd_sid(args) -> int:
@@ -219,8 +225,7 @@ def cmd_oracle(args) -> int:
         transversals_brute,
     )
 
-    needs_file = args.oracle_command not in ("gen-ranked", "gen-acyclic", "gen-hypergraph")
-    if needs_file and not args.file:
+    if not args.oracle_command.startswith("gen-") and not args.file:
         raise InputError(f"oracle {args.oracle_command} requires an input file")
     if args.oracle_command == "mingens" and not args.target:
         raise InputError("oracle mingens requires --target")
@@ -318,28 +323,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help=".imp input")
     p.set_defaults(func=cmd_roundtrip)
 
-    # One parser per oracle command, so that options may come before the file.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("file", nargs="?", help="input file where applicable")
-    common.add_argument("--target", help="target element label for mingens")
-    common.add_argument("--seed", type=int, default=0, help="seed for the generators")
-    common.add_argument("--max-elements", type=int, default=8)
-    common.add_argument("--max-implications", type=int, default=16)
-    common.add_argument("--json", action="store_true")
+    # One parser per oracle command, holding only the options it reads.
     p = sub.add_parser("oracle", help="brute-force references, for debugging")
     oracle = p.add_subparsers(dest="oracle_command", required=True)
-    for name in (
-        "closed-sets",
-        "meets",
-        "joins",
-        "mingens",
-        "transversals",
-        "partition",
-        "gen-ranked",
-        "gen-acyclic",
-        "gen-hypergraph",
-    ):
-        oracle.add_parser(name, parents=[common]).set_defaults(func=cmd_oracle)
+    for name in ("closed-sets", "meets", "joins", "mingens", "transversals", "partition"):
+        q = oracle.add_parser(name)
+        q.add_argument("file", nargs="?", help="input file")
+        if name == "mingens":
+            q.add_argument("--target", help="target element label")
+        if name != "partition":
+            q.add_argument("--json", action="store_true")
+        q.set_defaults(func=cmd_oracle)
+    for name in ("gen-ranked", "gen-acyclic", "gen-hypergraph"):
+        q = oracle.add_parser(name)
+        q.add_argument("--seed", type=int, default=0, help="seed for the generator")
+        if name != "gen-hypergraph":
+            q.add_argument("--max-elements", type=int, default=8)
+            q.add_argument("--max-implications", type=int, default=16)
+        q.set_defaults(func=cmd_oracle)
 
     return parser
 

@@ -84,8 +84,23 @@ def _closure_table(base: ImplicationalBase) -> tuple[np.ndarray, np.ndarray]:
     return closed, table
 
 
+#: Entry b is the byte b with its eight bits in reverse order.
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
 def _sorted_masks(arr: np.ndarray) -> list[int]:
-    return sorted(arr.tolist(), key=sort_key_size_lex)
+    """The masks of `arr`, below 2^64, in :func:`sort_key_size_lex` order.
+
+    Between two sets of one size, the one holding the lowest position
+    where they differ comes first.  Reversing the 64 bits of each mask
+    (the bytes in reverse order, each byte read backwards) turns that
+    position into the highest differing bit, so within a size the order
+    is that of the reversed masks, descending: one `np.lexsort`.
+    """
+    masks = np.ascontiguousarray(arr, dtype=np.uint64)
+    rev = _REVERSED_BYTES[masks.view(np.uint8)].reshape(-1, 8)[:, ::-1]
+    rev = np.ascontiguousarray(rev).view(np.uint64).ravel()
+    return masks[np.lexsort((~rev, np.bitwise_count(masks)))].tolist()
 
 
 def closed_set_masks(base: ImplicationalBase) -> list[int]:

@@ -9,12 +9,17 @@ hot loops and wrapped at API boundaries.
 
 from __future__ import annotations
 
+from operator import getitem
 from typing import Iterable, Iterator
 
 from .errors import InputError
 
 #: Hard capacity of a ground set; fixed once at construction.
 MAX_GROUND_SIZE = 4096
+
+#: The label table of a run of eight positions no set has reached yet,
+#: shared by all such runs and immutable.
+_UNBUILT = ("",)
 
 
 class Immutable:
@@ -90,7 +95,7 @@ class GroundSet(Immutable):
             index[label] = pos
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_tables", [None] * -(-len(labels) // 8))
+        object.__setattr__(self, "_tables", [_UNBUILT] * -(-len(labels) // 8))
 
     def __reduce__(self):
         return type(self), (self.labels,)
@@ -114,19 +119,25 @@ class GroundSet(Immutable):
     def join_labels(self, mask: int) -> str:
         """The labels of the positions in `mask`, ascending, joined by spaces.
 
-        Each nonzero byte of the mask is looked up in the table of its
-        eight positions, which holds the joined labels of every byte value
-        and is built the first time that byte position is needed: a set
-        costs one lookup per byte of the ground set.
+        Each byte of the mask is looked up in the table of its eight
+        positions, which holds the joined labels of every byte value, and
+        the nonempty entries are joined in one C-level pass: a set costs
+        one lookup per byte of the ground set.  A table is built the
+        first time a nonzero byte needs it; until then its slot holds the
+        shared placeholder ``("",)``, which reads ``""`` for a zero byte
+        and raises IndexError for any other.
         """
         tables = self._tables
-        return " ".join([
-            (tables[chunk] or self._table(chunk))[byte]
-            for chunk, byte in enumerate(mask.to_bytes(len(tables), "little"))
-            if byte
-        ])
+        chunks = mask.to_bytes(len(tables), "little")
+        try:
+            return " ".join(filter(None, map(getitem, tables, chunks)))
+        except IndexError:
+            for chunk, byte in enumerate(chunks):
+                if byte and tables[chunk] is _UNBUILT:
+                    self._table(chunk)
+            return " ".join(filter(None, map(getitem, tables, chunks)))
 
-    def _table(self, chunk: int) -> list[str]:
+    def _table(self, chunk: int) -> None:
         labels = self.labels[8 * chunk : 8 * chunk + 8]
         table = [""]
         for byte in range(1, 1 << len(labels)):
@@ -134,7 +145,6 @@ class GroundSet(Immutable):
             head, rest = labels[low.bit_length() - 1], table[byte ^ low]
             table.append(f"{head} {rest}" if rest else head)
         self._tables[chunk] = table
-        return table
 
     def position(self, label: str) -> int:
         """Position of `label`, raising :class:`InputError` if unknown."""

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA, family, make_base, sets_of
+from conftest import DATA, family, layered_base, make_base, sets_of
 from geodual import (
     BergeBackend,
     ElementSet,
@@ -20,8 +20,8 @@ from geodual import (
     meet_irreducibles,
     seed_region,
 )
-from geodual.ccm import MeetsAvoiding
-from geodual.hypergraphs import maximal_independent_sets
+from geodual.ccm import MeetsAvoiding, _premises
+from geodual.hypergraphs import independent_masks, maximal_independent_sets
 from geodual.oracle import (
     maximal_closed_avoiding,
     meets_brute,
@@ -296,3 +296,63 @@ def test_memoized_recursion_matches_definition(seed):
     assert [m.mask for m in maximal_avoiding_sets(base, rho, b, c)] == list(
         recursion_by_definition(base, rho, b, c, set())
     )
+
+
+# -- the explicit-stack walk against the recursive one --------------------------
+
+
+def recursive_walk(streams, bmask, rank, cmask):
+    """The walk of `MeetsAvoiding` written as nested generators, one per
+    node, with the instance's memo: the reference for its explicit stack."""
+    prefixes = streams._prefixes
+    if rank + 1 >= len(prefixes):
+        yield cmask
+        return
+    up = prefixes[rank + 1] & ~prefixes[rank]
+    branches = streams._branches.get((bmask, rank))
+    if branches is None:
+        premises = _premises(streams._by_conclusion, bmask)
+        branches = independent_masks(up, premises, streams.backend)
+        streams._branches[bmask, rank] = branches
+    for s in branches:
+        yield from recursive_walk(streams, up & ~s, rank + 1, cmask | s)
+
+
+def assert_walks_agree(base):
+    rho = compute_rank(base)
+    streams, reference = MeetsAvoiding(base, rho), MeetsAvoiding(base, rho)
+    prefixes = reference._prefixes
+    for j in range(base.ground.size):
+        rank, bit = rho.ranks[j], 1 << j
+        expected = list(recursive_walk(reference, bit, rank, prefixes[rank] & ~bit))
+        assert list(streams(j)) == expected, j
+    assert streams._branches == reference._branches
+
+
+@pytest.mark.parametrize("name", ["rung.imp", "layered.imp", "chain.imp"])
+def test_stack_walk_matches_recursion_on_data(name):
+    assert_walks_agree(formats.read_imp(DATA / name))
+
+
+@pytest.mark.parametrize("shape", [(6, 8, 3, 2), (2, 24, 12, 4)], ids=["L6w8", "L2w24"])
+def test_stack_walk_matches_recursion_on_layered_bases(shape):
+    assert_walks_agree(layered_base(*shape, seed=0))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_stack_walk_matches_recursion_on_random_bases(seed):
+    rng = random.Random(seed)
+    base = random_ranked_base(rng, max_elements=12, max_implications=24)
+    assert_walks_agree(base)
+    # From a ranked B with an arbitrary region avoiding it, not the seed.
+    rho = compute_rank(base)
+    rank = rng.randrange(rho.max_rank + 1)
+    level = [p for p, r in enumerate(rho.ranks) if r == rank]
+    members = ElementSet.of(base.ground, rng.sample(level, rng.randint(0, len(level))))
+    region = rng.getrandbits(base.ground.size) & ~members.mask
+    got = maximal_avoiding_sets(
+        base, rho, RankedSet(members, rank), ElementSet(base.ground, region)
+    )
+    expected = recursive_walk(MeetsAvoiding(base, rho), members.mask, rank, region)
+    assert [m.mask for m in got] == list(expected)

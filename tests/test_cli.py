@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from geodual import ElementSet, GroundSet, critical_base, formats
+from geodual import ElementSet, GroundSet, critical_base, formats, meet_irreducibles
 from geodual.cli import main
 from geodual.oracle import meets_brute
 from geodual.sets import MAX_GROUND_SIZE
@@ -58,6 +58,42 @@ class TestCcm:
         assert code == 0
         assert len(out.splitlines()) == len(brute) == 82
         assert set(out.splitlines()) == brute
+
+    @pytest.mark.parametrize("option", [None, "--by-element", "--json"])
+    @pytest.mark.parametrize(
+        "name, encoding",
+        [
+            ("chain.imp", "utf-8"),
+            ("layered.imp", "utf-8"),
+            ("rung.imp", "utf-8"),
+            ("unicode.imp", "utf-8"),
+            ("unicode.imp", "ascii:backslashreplace"),
+        ],
+    )
+    def test_stdout_bytes(self, data_dir, tmp_path, name, option, encoding):
+        path = data_dir / name
+        if name == "unicode.imp":
+            path = tmp_path / name
+            path.write_text("elements: é ∅x zß 日本\né -> ∅x\n∅x 日本 -> zß\n", "utf-8")
+        base = formats.read_imp(path)
+        labels = base.ground.labels
+        lines = []
+        for j, m in meet_irreducibles(base):
+            if option == "--json":
+                lines.append(json.dumps({"element": labels[j], "meet": list(m.labels())}))
+            else:
+                prefix = f"{labels[j]}: " if option else ""
+                lines.append(prefix + (" ".join(m.labels()) or "."))
+        argv = [sys.executable, "-m", "geodual.cli", "ccm", str(path)]
+        proc = subprocess.run(
+            argv + ([option] if option else []),
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING=encoding),
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        codec, _, errors = encoding.partition(":")
+        expected = "".join(line + "\n" for line in lines)
+        assert proc.stdout == expected.encode(codec, errors or "strict")
 
 
 class TestSid:
@@ -318,6 +354,34 @@ class TestOracleCommands:
         code, _, err = run(capsys, "oracle", "closed-sets")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-hypergraph", "--max-elements", "2"),
+            ("gen-hypergraph", "--max-implications", "2"),
+            ("gen-ranked", "chain.imp"),
+            ("gen-acyclic", "--json"),
+            ("meets", "chain.imp", "--seed", "3"),
+            ("closed-sets", "chain.imp", "--max-elements", "2"),
+            ("joins", "chain.imp", "--target", "1"),
+            ("partition", "layered.mf", "--json"),
+        ],
+    )
+    def test_unread_options_rejected(self, capsys, data_dir, argv):
+        argv = [str(data_dir / a) if a.endswith((".imp", ".mf")) else a for a in argv]
+        with pytest.raises(SystemExit) as exit:
+            main(["oracle", *argv])
+        assert exit.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_generator_options_read(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle", "gen-ranked", "--seed", "3", "--max-elements", "4",
+            "--max-implications", "2",
+        )
+        base = formats.parse_imp(out)
+        assert code == 0 and base.ground.size <= 4 and len(base.implications) <= 2
+
 
 class TestDeterminism:
     COMMANDS = [
@@ -427,6 +491,22 @@ class TestInputContract:
         _, err = proc.communicate(timeout=60)
         assert err == b""
         assert proc.returncode == 1
+
+    def test_first_line_through_closed_pipe(self, tmp_path):
+        # As `geodual ccm big.imp | head -1`, with labels outside ASCII.
+        labels = [f"ü{i}" for i in range(400)]
+        big = tmp_path / "big.imp"
+        big.write_text("elements: " + " ".join(labels) + "\n", "utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "geodual.cli", "ccm", str(big)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8"),
+        )
+        assert proc.stdout.readline() == (" ".join(labels[1:]) + "\n").encode()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
 
 
 def test_cli_imports_no_private_names():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +21,7 @@ from geodual import (
 from geodual.hypergraphs import Hypergraph
 from geodual.implications import closure_mask, is_acyclic
 from geodual.oracle import (
+    _sorted_masks,
     all_closed_sets,
     closed_set_masks,
     family_meet_masks,
@@ -33,6 +35,7 @@ from geodual.oracle import (
     transversals_brute,
 )
 from geodual.ranking import RankFunction, compute_rank, validate_rank
+from geodual.sets import sort_key_size_lex
 
 
 class TestAllClosedSets:
@@ -269,3 +272,17 @@ class TestIntersectionClosure:
         ground, sets = formats.read_mf(data_dir / "rung.mf")
         closed = closed_set_masks(formats.read_imp(data_dir / "rung.imp"))
         assert intersection_closure(ground, sets) == closed
+
+
+@pytest.mark.parametrize("bits", [1, 5, 20, 32, 64])
+def test_sorted_masks_match_size_lex_key(bits):
+    rng = random.Random(bits)
+    full = (1 << bits) - 1
+    masks = [0, full, 1, 1 << (bits - 1)] + [rng.getrandbits(bits) for _ in range(2000)]
+    masks = list(set(masks))
+    rng.shuffle(masks)
+    expected = sorted(masks, key=sort_key_size_lex)
+    assert _sorted_masks(np.array(masks, dtype=np.uint64)) == expected
+    if bits <= 32:
+        assert _sorted_masks(np.array(masks, dtype=np.uint32)) == expected
+    assert _sorted_masks(np.array([], dtype=np.intp)) == []

@@ -1,5 +1,7 @@
 """Ground set and element set invariants."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -174,3 +176,28 @@ def test_implication_sort_key_sorts_as_position_tuples(masks, data):
     assert sorted(implications, key=Implication.sort_key) == sorted(
         implications, key=lambda imp: (imp.conclusion, positions(imp.premise.mask))
     )
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 4096])
+def test_join_labels_matches_per_bit_definition(n):
+    ground = GroundSet(f"é{i}" for i in range(n))
+    full = (1 << n) - 1
+    rng = random.Random(n)
+    masks = [0, 1, 1 << (n - 1), full] + [rng.getrandbits(n) for _ in range(30)]
+    masks += [sum(1 << p for p in rng.sample(range(n), min(n, 3))) for _ in range(10)]
+    for mask in masks:
+        expected = " ".join(ground.labels[i] for i in range(n) if mask >> i & 1)
+        assert ground.join_labels(mask) == expected
+
+
+def test_sparse_mask_builds_only_the_tables_of_its_nonzero_bytes():
+    ground = GroundSet(str(i) for i in range(MAX_GROUND_SIZE))
+    mask = 1 << 3 | 1 << 1000 | 1 << 1001 | 1 << 4095
+    assert ground.join_labels(0) == ""
+    assert ground.join_labels(mask) == "3 1000 1001 4095"
+    built = [chunk for chunk, table in enumerate(ground._tables) if len(table) > 1]
+    assert built == [0, 125, 511]
+    # Unbuilt chunks all share the one-entry placeholder.
+    unbuilt = [table for table in ground._tables if len(table) == 1]
+    assert len(unbuilt) == len(ground._tables) - 3
+    assert all(table is unbuilt[0] and table == ("",) for table in unbuilt)
