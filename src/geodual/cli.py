@@ -5,8 +5,11 @@ that is missing, unreadable, a directory or not UTF-8), 2 semantic
 precondition violated (unranked base, cyclic base, bad meet family, size
 guard), 3 verification failure.  Enumeration commands stream one result
 per line as it is produced; labels, never positions, appear in output.
-A reader that closes the output early (``geodual ccm big.imp | head -1``)
-ends the command quietly, with exit code 1 and nothing on stderr.
+Every command writes its lines through one writer, in stdout's encoding
+and flushed line by line; a label that encoding cannot hold ends the
+command with exit code 1 and one line on stderr.  A reader that closes
+the output early (``geodual ccm big.imp | head -1``) ends the command
+quietly, with exit code 1 and nothing on stderr.
 
 Each command imports the modules it runs when it runs, so that a command
 starts without loading what only the others need.
@@ -29,19 +32,27 @@ from .errors import (
 from .sets import ElementSet
 
 
-def _println(line: str) -> None:
-    sys.stdout.write(line + "\n")
-    sys.stdout.flush()
+def _write_lines(lines) -> None:
+    """Write each line to stdout in its encoding, with one flush per line.
+
+    This is the only writer to stdout: each line is encoded once and goes
+    to the byte stream under the text layer as one write and one flush.
+    """
+    stdout = sys.stdout
+    stdout.flush()
+    encoding, errors = stdout.encoding, stdout.errors
+    write, flush = stdout.buffer.write, stdout.buffer.flush
+    for line in lines:
+        write(f"{line}\n".encode(encoding, errors))
+        flush()
 
 
-def _print_sets(sets, as_json: bool) -> None:
+def _set_lines(sets, as_json: bool):
     import json
 
-    for s in sets:
-        if as_json:
-            _println(json.dumps({"set": list(s.labels())}))
-        else:
-            _println(formats.format_set(s))
+    if as_json:
+        return (json.dumps({"set": list(s.labels())}) for s in sets)
+    return map(formats.format_set, sets)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -53,29 +64,23 @@ def cmd_ccm(args) -> int:
     base = formats.read_imp(args.file)
     ground = base.ground
     meets_avoiding = MeetsAvoiding(base, ranked(base))
-    # Each line goes to the byte stream under stdout as one encoded write
-    # and one flush, without a pass through the text layer.
-    stdout = sys.stdout
-    stdout.flush()
-    encoding, errors = stdout.encoding, stdout.errors
-    write, flush = stdout.buffer.write, stdout.buffer.flush
-    labels, join = ground.labels, ground.join_labels
+    elements, labels = range(ground.size), ground.labels
     if args.json:
         import json
 
-        for j in range(ground.size):
-            for mask in meets_avoiding(j):
-                meet = list(ElementSet(ground, mask).labels())
-                line = json.dumps({"element": labels[j], "meet": meet}) + "\n"
-                write(line.encode(encoding, errors))
-                flush()
+        _write_lines(
+            json.dumps(
+                {"element": labels[j], "meet": list(ElementSet(ground, mask).labels())}
+            )
+            for j in elements
+            for mask in meets_avoiding(j)
+        )
         return 0
-    empty = formats.EMPTY_SET_TOKEN
-    for j in range(ground.size):
-        prefix = f"{labels[j]}: " if args.by_element else ""
-        for mask in meets_avoiding(j):
-            write(f"{prefix}{join(mask) or empty}\n".encode(encoding, errors))
-            flush()
+    prefixes = [f"{label}: " for label in labels] if args.by_element else [""] * ground.size
+    join, empty = ground.join_labels, formats.EMPTY_SET_TOKEN
+    _write_lines(
+        f"{prefixes[j]}{join(mask) or empty}" for j in elements for mask in meets_avoiding(j)
+    )
     return 0
 
 
@@ -86,21 +91,18 @@ def cmd_sid(args) -> int:
     family = MeetFamily(ground, sets)
     if args.verify or args.strict:
         base = recover_critical_base(family, verify=args.verify, strict=args.strict)
-        sys.stdout.write(formats.format_imp(base))
-        sys.stdout.flush()
-        return 0
-    _println("elements: " + " ".join(ground.labels))
-    for imp in iter_recovered_implications(family):
-        _println(repr(imp))
+        rules = base.implications
+    else:
+        rules = iter_recovered_implications(family)
+    _write_lines(formats.imp_lines(ground, rules))
     return 0
 
 
 def cmd_critical_base(args) -> int:
     from .critical import critical_base
 
-    base = formats.read_imp(args.file)
-    sys.stdout.write(formats.format_imp(critical_base(base)))
-    sys.stdout.flush()
+    base = critical_base(formats.read_imp(args.file))
+    _write_lines(formats.imp_lines(base.ground, base.implications))
     return 0
 
 
@@ -110,43 +112,30 @@ def cmd_rank_check(args) -> int:
     from .ranking import RankFunction, compute_rank
 
     base = formats.read_imp(args.file)
+    labels = base.ground.labels
     result = compute_rank(base)
-    if isinstance(result, RankFunction):
-        if args.json:
-            _println(
-                json.dumps(
-                    {
-                        "ranked": True,
-                        "ranks": {
-                            label: result.ranks[pos]
-                            for pos, label in enumerate(base.ground.labels)
-                        },
-                    }
-                )
-            )
-        else:
-            _println("ranked")
-            for pos, label in enumerate(base.ground.labels):
-                _println(f"{label}={result.ranks[pos]}")
-        return 0
-    if args.json:
-        _println(
-            json.dumps(
-                {
-                    "ranked": False,
-                    "element": base.ground.labels[result.element],
-                    "required_ranks": list(result.required_ranks),
-                    "witnesses": [repr(w) for w in result.witness_implications],
-                }
-            )
-        )
+    is_ranked = isinstance(result, RankFunction)
+    if is_ranked and args.json:
+        lines = [json.dumps({"ranked": True, "ranks": dict(zip(labels, result.ranks))})]
+    elif is_ranked:
+        lines = ["ranked", *(f"{label}={rank}" for label, rank in zip(labels, result.ranks))]
+    elif args.json:
+        conflict = {
+            "ranked": False,
+            "element": labels[result.element],
+            "required_ranks": list(result.required_ranks),
+            "witnesses": [repr(w) for w in result.witness_implications],
+        }
+        lines = [json.dumps(conflict)]
     else:
-        _println("conflict")
-        _println(f"element: {base.ground.labels[result.element]}")
-        _println("ranks: {} vs {}".format(*result.required_ranks))
-        for w in result.witness_implications:
-            _println(f"witness: {w!r}")
-    return 2
+        lines = [
+            "conflict",
+            f"element: {labels[result.element]}",
+            "ranks: {} vs {}".format(*result.required_ranks),
+            *(f"witness: {w!r}" for w in result.witness_implications),
+        ]
+    _write_lines(lines)
+    return 0 if is_ranked else 2
 
 
 def _load_antichain(base, path):
@@ -167,7 +156,7 @@ def cmd_dual_check(args) -> int:
     base = formats.read_imp(args.file)
     bplus = _load_antichain(base, args.plus)
     bminus = _load_antichain(base, args.minus)
-    _println("dual" if check_dual(base, bplus, bminus) else "not dual")
+    _write_lines(["dual" if check_dual(base, bplus, bminus) else "not dual"])
     return 0
 
 
@@ -187,7 +176,7 @@ def cmd_reduce(args) -> int:
     omega, family = reduce_dual_to_cmi(base, bplus, bminus, meets)
     formats.write_imp(omega, args.out_base)
     formats.write_mf(family.ground, family.meets, args.out_meets)
-    _println(f"wrote {args.out_base} and {args.out_meets}")
+    _write_lines([f"wrote {args.out_base} and {args.out_meets}"])
     return 0
 
 
@@ -201,9 +190,9 @@ def cmd_roundtrip(args) -> int:
     recovered = recover_critical_base(meets)
     expected = critical_base(base)
     if set(recovered.implications) == set(expected.implications):
-        _println("roundtrip ok: {} meets, {} implications".format(
-            len(meets), len(recovered.implications)
-        ))
+        _write_lines([
+            f"roundtrip ok: {len(meets)} meets, {len(recovered.implications)} implications"
+        ])
         return 0
     raise VerificationError(
         "roundtrip mismatch: recovered base differs from the critical base"
@@ -230,25 +219,27 @@ def cmd_oracle(args) -> int:
     if args.oracle_command == "mingens" and not args.target:
         raise InputError("oracle mingens requires --target")
     if args.oracle_command == "closed-sets":
-        _print_sets(all_closed_sets(formats.read_imp(args.file)), args.json)
+        lines = _set_lines(all_closed_sets(formats.read_imp(args.file)), args.json)
     elif args.oracle_command == "meets":
-        _print_sets(meets_brute(formats.read_imp(args.file)), args.json)
+        lines = _set_lines(meets_brute(formats.read_imp(args.file)), args.json)
     elif args.oracle_command == "joins":
-        _print_sets(joins_brute(formats.read_imp(args.file)), args.json)
+        lines = _set_lines(joins_brute(formats.read_imp(args.file)), args.json)
     elif args.oracle_command == "mingens":
         base = formats.read_imp(args.file)
         target = base.ground.position(args.target)
-        _print_sets(mingens_brute(base, target), args.json)
+        lines = _set_lines(mingens_brute(base, target), args.json)
     elif args.oracle_command == "transversals":
-        _print_sets(transversals_brute(formats.read_hg(args.file)), args.json)
+        lines = _set_lines(transversals_brute(formats.read_hg(args.file)), args.json)
     elif args.oracle_command == "partition":
         from .sid import MeetFamily, partition_meets
 
         ground, sets = formats.read_mf(args.file)
         family = MeetFamily(ground, sets)
-        for j, fam in sorted(partition_meets(family).items()):
-            for m in fam:
-                _println(f"{ground.labels[j]}: {formats.format_set(m)}")
+        lines = (
+            f"{ground.labels[j]}: {formats.format_set(m)}"
+            for j, fam in sorted(partition_meets(family).items())
+            for m in fam
+        )
     elif args.oracle_command in ("gen-ranked", "gen-acyclic"):
         generate = {"gen-ranked": random_ranked_base, "gen-acyclic": random_acyclic_base}
         base = generate[args.oracle_command](
@@ -256,13 +247,12 @@ def cmd_oracle(args) -> int:
             max_elements=args.max_elements,
             max_implications=args.max_implications,
         )
-        sys.stdout.write(formats.format_imp(base))
+        lines = formats.imp_lines(base.ground, base.implications)
     elif args.oracle_command == "gen-hypergraph":
-        rng = random.Random(args.seed)
-        sys.stdout.write(formats.format_hg(random_hypergraph(rng)))
+        lines = formats.hg_lines(random_hypergraph(random.Random(args.seed)))
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown oracle subcommand {args.oracle_command!r}")
-    sys.stdout.flush()
+    _write_lines(lines)
     return 0
 
 
@@ -354,6 +344,10 @@ def main(argv=None) -> int:
         # The reader is gone.  Point stdout at devnull so that the flush of
         # what is still buffered, at interpreter exit, cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except UnicodeEncodeError as exc:
+        chars = exc.object[exc.start : exc.end]
+        print(f"error: stdout cannot encode {chars!r} in {exc.encoding}", file=sys.stderr)
         return 1
     except OSError as exc:
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc

@@ -10,7 +10,7 @@ the source name and line number.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import InputError
 from .hypergraphs import Hypergraph
@@ -37,7 +37,13 @@ def _effective_lines(text: str):
             yield lineno, line.split()
 
 
-def _parse_header(tokens: list[str], lineno: int, source: str, keyword: str) -> GroundSet:
+def _header(text: str, source: str, keyword: str):
+    """The ground set named by the first effective line, and the lines after it."""
+    lines = _effective_lines(text)
+    lineno, tokens = next(lines, (1, None))
+    if tokens is None:
+        article = "a" if keyword == "vertices" else "an"
+        raise InputError(f"{source}:1: empty input, expected {article} `{keyword}:` line")
     if tokens[0] != f"{keyword}:":
         raise InputError(
             f"{source}:{lineno}: expected `{keyword}: <label> ...` as the first line"
@@ -45,20 +51,21 @@ def _parse_header(tokens: list[str], lineno: int, source: str, keyword: str) -> 
     if len(tokens) == 1:
         raise InputError(f"{source}:{lineno}: at least one element label is required")
     try:
-        return GroundSet(tokens[1:])
+        return GroundSet(tokens[1:]), lines
     except InputError as exc:
         raise InputError(f"{source}:{lineno}: {exc}") from None
 
 
-def _parse_set(
-    ground: GroundSet, tokens: list[str], lineno: int, source: str
-) -> ElementSet:
-    if tokens == [EMPTY_SET_TOKEN]:
-        return ElementSet.empty(ground)
-    try:
-        return ElementSet.from_labels(ground, tokens)
-    except InputError as exc:
-        raise InputError(f"{source}:{lineno}: {exc}") from None
+def _lines(
+    keyword: str, labels: Iterable[str], items: Iterable, line: Callable[..., str]
+) -> Iterator[str]:
+    """The header naming `labels`, then `line(item)` for each item, lazily."""
+    yield f"{keyword}: " + " ".join(labels)
+    yield from map(line, items)
+
+
+def _text(lines: Iterable[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 # -- implicational bases ------------------------------------------------------
@@ -66,12 +73,9 @@ def _parse_set(
 
 def parse_imp(text: str, source: str = "<string>") -> ImplicationalBase:
     """Parse an implicational base from .imp text."""
-    ground = None
+    ground, lines = _header(text, source, "elements")
     implications = []
-    for lineno, tokens in _effective_lines(text):
-        if ground is None:
-            ground = _parse_header(tokens, lineno, source, "elements")
-            continue
+    for lineno, tokens in lines:
         if "->" not in tokens:
             raise InputError(f"{source}:{lineno}: missing `->` in implication")
         arrow = tokens.index("->")
@@ -96,8 +100,6 @@ def parse_imp(text: str, source: str = "<string>") -> ImplicationalBase:
             )
         except InputError as exc:
             raise InputError(f"{source}:{lineno}: {exc}") from None
-    if ground is None:
-        raise InputError(f"{source}:1: empty input, expected an `elements:` line")
     return ImplicationalBase(ground, implications)
 
 
@@ -105,13 +107,14 @@ def read_imp(path) -> ImplicationalBase:
     return parse_imp(_read_text(path), source=str(path))
 
 
+def imp_lines(ground: GroundSet, implications: Iterable[Implication]) -> Iterator[str]:
+    """The lines of .imp text, without newlines: the element list, then one
+    rule per line.  The element list comes before the first rule is drawn."""
+    return _lines("elements", ground.labels, implications, repr)
+
+
 def format_imp(base: ImplicationalBase) -> str:
-    ground = base.ground
-    lines = ["elements: " + " ".join(ground.labels)]
-    for imp in base.implications:
-        lhs = ground.join_labels(imp.premise.mask)
-        lines.append(f"{lhs} -> {ground.labels[imp.conclusion]}")
-    return "\n".join(lines) + "\n"
+    return _text(imp_lines(base.ground, base.implications))
 
 
 def write_imp(base: ImplicationalBase, path) -> None:
@@ -121,22 +124,30 @@ def write_imp(base: ImplicationalBase, path) -> None:
 # -- set families -------------------------------------------------------------
 
 
+def _parse_family(
+    text: str, source: str, keyword: str
+) -> tuple[GroundSet, tuple[ElementSet, ...]]:
+    ground, lines = _header(text, source, keyword)
+    members = []
+    for lineno, tokens in lines:
+        try:
+            members.append(
+                ElementSet.empty(ground)
+                if tokens == [EMPTY_SET_TOKEN]
+                else ElementSet.from_labels(ground, tokens)
+            )
+        except InputError as exc:
+            raise InputError(f"{source}:{lineno}: {exc}") from None
+    return ground, tuple(members)
+
+
 def parse_mf(text: str, source: str = "<string>") -> tuple[GroundSet, tuple[ElementSet, ...]]:
     """Parse a set family from .mf text; returns the ground set and members.
 
     Callers wrap the members in whatever family type fits (meet family,
     antichain); the file format itself is just a list of sets.
     """
-    ground = None
-    members = []
-    for lineno, tokens in _effective_lines(text):
-        if ground is None:
-            ground = _parse_header(tokens, lineno, source, "elements")
-            continue
-        members.append(_parse_set(ground, tokens, lineno, source))
-    if ground is None:
-        raise InputError(f"{source}:1: empty input, expected an `elements:` line")
-    return ground, tuple(members)
+    return _parse_family(text, source, "elements")
 
 
 def read_mf(path) -> tuple[GroundSet, tuple[ElementSet, ...]]:
@@ -153,9 +164,7 @@ def format_set(s: ElementSet) -> str:
 
 
 def format_mf(ground: GroundSet, sets: Iterable[ElementSet]) -> str:
-    lines = ["elements: " + " ".join(ground.labels)]
-    lines.extend(format_set(s) for s in sets)
-    return "\n".join(lines) + "\n"
+    return _text(_lines("elements", ground.labels, sets, format_set))
 
 
 def write_mf(ground: GroundSet, sets: Iterable[ElementSet], path) -> None:
@@ -167,15 +176,7 @@ def write_mf(ground: GroundSet, sets: Iterable[ElementSet], path) -> None:
 
 def parse_hg(text: str, source: str = "<string>") -> Hypergraph:
     """Parse a hypergraph from .hg text; vertices first, one edge per line."""
-    ground = None
-    edges = []
-    for lineno, tokens in _effective_lines(text):
-        if ground is None:
-            ground = _parse_header(tokens, lineno, source, "vertices")
-            continue
-        edges.append(_parse_set(ground, tokens, lineno, source))
-    if ground is None:
-        raise InputError(f"{source}:1: empty input, expected a `vertices:` line")
+    ground, edges = _parse_family(text, source, "vertices")
     return Hypergraph(ElementSet.full(ground), edges)
 
 
@@ -183,7 +184,11 @@ def read_hg(path) -> Hypergraph:
     return parse_hg(_read_text(path), source=str(path))
 
 
+def hg_lines(h: Hypergraph) -> Iterator[str]:
+    """The lines of .hg text, without newlines: the vertices, then one edge
+    per line."""
+    return _lines("vertices", h.vertices.labels(), h.edges, format_set)
+
+
 def format_hg(h: Hypergraph) -> str:
-    lines = ["vertices: " + " ".join(h.vertices.labels())]
-    lines.extend(format_set(e) for e in h.edges)
-    return "\n".join(lines) + "\n"
+    return _text(hg_lines(h))

@@ -344,6 +344,15 @@ def _labels(n: int) -> GroundSet:
     return GroundSet(str(i + 1) for i in range(n))
 
 
+def _check_generator_bounds(max_elements: int, max_implications: int = 0) -> None:
+    if max_elements < 2:
+        raise PreconditionError(f"max_elements must be at least 2, got {max_elements}")
+    if max_implications < 0:
+        raise PreconditionError(
+            f"max_implications must be at least 0, got {max_implications}"
+        )
+
+
 def _random_level_split(rng: random.Random, n: int, parts: int) -> list[list[int]]:
     positions = list(range(n))
     rng.shuffle(positions)
@@ -368,6 +377,7 @@ def random_ranked_base(
     Standardness is enforced by rejection, although ranked bases built
     this way always pass.
     """
+    _check_generator_bounds(max_elements, max_implications)
     while True:
         n = rng.randint(2, max_elements)
         ground = _labels(n)
@@ -399,6 +409,7 @@ def random_acyclic_base(
 ) -> ImplicationalBase:
     """A random acyclic base: premises sit above their conclusion in a
     random topological order.  Standardness is enforced by rejection."""
+    _check_generator_bounds(max_elements, max_implications)
     while True:
         n = rng.randint(2, max_elements)
         ground = _labels(n)
@@ -425,6 +436,7 @@ def random_acyclic_base(
 
 def random_distributive_base(rng: random.Random, max_elements: int = 8) -> ImplicationalBase:
     """A random acyclic base with singleton premises."""
+    _check_generator_bounds(max_elements)
     n = rng.randint(2, max_elements)
     ground = _labels(n)
     topo = list(range(n))

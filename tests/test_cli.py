@@ -3,16 +3,25 @@
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+
 from geodual import ElementSet, GroundSet, critical_base, formats, meet_irreducibles
 from geodual.cli import main
-from geodual.oracle import meets_brute
+from geodual.oracle import all_closed_sets, meets_brute, random_ranked_base
+from geodual.ranking import compute_rank
 from geodual.sets import MAX_GROUND_SIZE
+from geodual.sid import (
+    MeetFamily,
+    iter_recovered_implications,
+    partition_meets,
+    recover_critical_base,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -382,6 +391,23 @@ class TestOracleCommands:
         base = formats.parse_imp(out)
         assert code == 0 and base.ground.size <= 4 and len(base.implications) <= 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-ranked", "--max-elements", "1"),
+            ("gen-ranked", "--max-elements", "0"),
+            ("gen-acyclic", "--max-elements", "1"),
+            ("gen-ranked", "--max-implications", "-1"),
+            ("gen-acyclic", "--max-implications", "-1"),
+        ],
+    )
+    def test_generator_bounds_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "oracle", *argv)
+        option = argv[1].lstrip("-").replace("-", "_")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"precondition violated: {option} must be at least")
+        assert len(err.splitlines()) == 1
+
 
 class TestDeterminism:
     COMMANDS = [
@@ -509,6 +535,130 @@ class TestInputContract:
         assert (proc.returncode, err) == (1, b"")
 
 
+# Non-ASCII labels: a ranked base, and a base whose ranks conflict.
+UNICODE_IMP = "elements: é ∅x zß 日本\né -> ∅x\n∅x 日本 -> zß\n"
+UNICODE_CONFLICT = "elements: α β γ δ ε\nδ -> α\nε -> β\nγ -> α\nγ -> β\nδ ε -> γ\n"
+
+
+def _set_line(s):
+    return " ".join(s.labels()) or "."
+
+
+def _rule_line(rule):
+    return f"{' '.join(rule.premise.labels())} -> {rule.universe.labels[rule.conclusion]}"
+
+
+def _imp_lines(ground, rules):
+    return ["elements: " + " ".join(ground.labels), *map(_rule_line, rules)]
+
+
+def _base_lines(base):
+    return _imp_lines(base.ground, base.implications)
+
+
+def _ranks(base):
+    return dict(zip(base.ground.labels, compute_rank(base).ranks))
+
+
+def _conflict(base):
+    conflict = compute_rank(base)
+    return {
+        "ranked": False,
+        "element": base.ground.labels[conflict.element],
+        "required_ranks": list(conflict.required_ranks),
+        "witnesses": [_rule_line(w) for w in conflict.witness_implications],
+    }
+
+
+def _conflict_lines(base):
+    conflict = _conflict(base)
+    return [
+        "conflict",
+        f"element: {conflict['element']}",
+        "ranks: {} vs {}".format(*conflict["required_ranks"]),
+        *(f"witness: {w}" for w in conflict["witnesses"]),
+    ]
+
+
+# (argv, exit code, the lines expected from library calls on the ranked
+# base `b`, the conflicting base `c` and the meet family `f` of `b`).
+STDOUT_CASES = [
+    ("sid {mf}", 0, lambda b, c, f: _imp_lines(f.ground, iter_recovered_implications(f))),
+    ("sid {mf} --verify", 0, lambda b, c, f: _base_lines(recover_critical_base(f, verify=True))),
+    ("sid {mf} --strict", 0, lambda b, c, f: _base_lines(recover_critical_base(f, strict=True))),
+    ("critical-base {imp}", 0, lambda b, c, f: _base_lines(critical_base(b))),
+    ("rank-check {imp}", 0, lambda b, c, f: [
+        "ranked", *(f"{label}={rank}" for label, rank in _ranks(b).items())]),
+    ("rank-check {imp} --json", 0, lambda b, c, f: [
+        json.dumps({"ranked": True, "ranks": _ranks(b)})]),
+    ("rank-check {conflict}", 2, lambda b, c, f: _conflict_lines(c)),
+    ("rank-check {conflict} --json", 2, lambda b, c, f: [json.dumps(_conflict(c))]),
+    ("oracle meets {imp}", 0, lambda b, c, f: [_set_line(m) for m in meets_brute(b)]),
+    ("oracle meets {imp} --json", 0, lambda b, c, f: [
+        json.dumps({"set": list(m.labels())}) for m in meets_brute(b)]),
+    ("oracle closed-sets {imp}", 0, lambda b, c, f: [
+        _set_line(s) for s in all_closed_sets(b)]),
+    ("oracle closed-sets {imp} --json", 0, lambda b, c, f: [
+        json.dumps({"set": list(s.labels())}) for s in all_closed_sets(b)]),
+    ("oracle partition {mf}", 0, lambda b, c, f: [
+        f"{f.ground.labels[j]}: {_set_line(m)}"
+        for j, members in sorted(partition_meets(f).items())
+        for m in members
+    ]),
+    ("oracle gen-ranked --seed 3", 0, lambda b, c, f: _base_lines(
+        random_ranked_base(random.Random(3), max_elements=8, max_implications=16))),
+]
+
+
+@pytest.fixture
+def unicode_inputs(tmp_path):
+    """The non-ASCII inputs as files, and the objects they hold."""
+    imp, conflict, mf = (tmp_path / name for name in ("ranked.imp", "conflict.imp", "ranked.mf"))
+    imp.write_text(UNICODE_IMP, "utf-8")
+    conflict.write_text(UNICODE_CONFLICT, "utf-8")
+    base = formats.read_imp(imp)
+    formats.write_mf(base.ground, [m for _, m in meet_irreducibles(base)], mf)
+    objects = base, formats.read_imp(conflict), MeetFamily(*formats.read_mf(mf))
+    return {"imp": imp, "conflict": conflict, "mf": mf}, objects
+
+
+def _run_cli(argv, encoding):
+    return subprocess.run(
+        [sys.executable, "-m", "geodual.cli", *map(str, argv)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING=encoding),
+    )
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii:backslashreplace"])
+@pytest.mark.parametrize(
+    "command, code, lines", STDOUT_CASES, ids=[case[0] for case in STDOUT_CASES]
+)
+def test_stdout_bytes(unicode_inputs, command, code, lines, encoding):
+    # As `TestCcm::test_stdout_bytes`, for every other command that prints
+    # labels.
+    paths, objects = unicode_inputs
+    proc = _run_cli([part.format(**paths) for part in command.split()], encoding)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    codec, _, errors = encoding.partition(":")
+    expected = "".join(line + "\n" for line in lines(*objects))
+    assert proc.stdout == expected.encode(codec, errors)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["ccm {imp}", "sid {mf}", "critical-base {imp}", "rank-check {imp}", "oracle meets {imp}"],
+)
+def test_unencodable_labels_exit_1(unicode_inputs, command):
+    paths, _ = unicode_inputs
+    proc = _run_cli([part.format(**paths) for part in command.split()], "ascii")
+    assert proc.returncode == 1
+    err = proc.stderr.decode("ascii")
+    assert err.startswith("error: stdout cannot encode '") and err.endswith("' in ascii\n")
+    assert len(err.splitlines()) == 1
+    proc.stdout.decode("ascii")  # only whole lines that ASCII holds
+
+
 def test_cli_imports_no_private_names():
     """The CLI runs the library through its public functions, never private
     copies of them."""
@@ -523,6 +673,37 @@ def test_cli_imports_no_private_names():
         or any(part.startswith("_") for part in (node.module or "").split("."))
     ]
     assert private == []
+
+
+def test_cli_writes_stdout_only_through_its_writer():
+    """One function of the CLI writes to stdout; `main` touches stdout only
+    to point it at devnull when the reader is gone, and every `print` goes
+    to stderr."""
+    tree = ast.parse((SRC / "geodual" / "cli.py").read_text())
+    users = []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        exempt = set()
+        if name == "main":
+            for call in ast.walk(top):
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "os.dup2":
+                    exempt |= {id(node) for node in ast.walk(call)}
+        users += [
+            name
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute)
+            and ast.unparse(node) == "sys.stdout"
+            and id(node) not in exempt
+        ]
+    assert users == ["_write_lines"]
+    prints = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
+    ]
+    assert prints and all(
+        any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords)
+        for node in prints
+    )
 
 
 # The modules that `ccm` and `sid` run through: no definitional reference

@@ -31,6 +31,7 @@ from geodual.oracle import (
     meets_brute,
     mingens_brute,
     random_acyclic_base,
+    random_distributive_base,
     random_ranked_base,
     transversals_brute,
 )
@@ -255,6 +256,30 @@ class TestGenerators:
         a = random_ranked_base(random.Random(7), max_elements=8)
         b = random_ranked_base(random.Random(7), max_elements=8)
         assert a.ground == b.ground and a.implications == b.implications
+
+    @pytest.mark.parametrize(
+        "generate, bounds",
+        [
+            (generate, bounds)
+            for generate in (random_ranked_base, random_acyclic_base, random_distributive_base)
+            for bounds in ({"max_elements": 1}, {"max_elements": 0}, {"max_implications": -1})
+            if generate is not random_distributive_base or "max_elements" in bounds
+        ],
+    )
+    def test_bounds_rejected_before_any_draw(self, generate, bounds):
+        rng = random.Random(7)
+        state = rng.getstate()
+        with pytest.raises(PreconditionError, match=next(iter(bounds))):
+            generate(rng, **bounds)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize(
+        "generate", [random_ranked_base, random_acyclic_base, random_distributive_base]
+    )
+    def test_smallest_bounds_accepted(self, generate):
+        bounds = {} if generate is random_distributive_base else {"max_implications": 0}
+        base = generate(random.Random(7), max_elements=2, **bounds)
+        assert base.ground.size == 2
 
 
 class TestIntersectionClosure:
