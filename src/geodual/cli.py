@@ -9,7 +9,8 @@ Every command writes its lines through one writer, in stdout's encoding
 and flushed line by line; a label that encoding cannot hold ends the
 command with exit code 1 and one line on stderr.  A reader that closes
 the output early (``geodual ccm big.imp | head -1``) ends the command
-quietly, with exit code 1 and nothing on stderr.
+quietly, with exit code 1 and nothing on stderr; a command started with
+stdout closed exits 1 with one line on stderr.
 
 Each command imports the modules it runs when it runs, so that a command
 starts without loading what only the others need.
@@ -18,6 +19,7 @@ starts without loading what only the others need.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -37,8 +39,11 @@ def _write_lines(lines) -> None:
 
     This is the only writer to stdout: each line is encoded once and goes
     to the byte stream under the text layer as one write and one flush.
+    A closed stdout, which Python leaves as ``None``, is an error.
     """
     stdout = sys.stdout
+    if stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "stdout")
     stdout.flush()
     encoding, errors = stdout.encoding, stdout.errors
     write, flush = stdout.buffer.write, stdout.buffer.flush

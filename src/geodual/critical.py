@@ -5,7 +5,8 @@ of minimal generators, and that base has minimum size among unit bases.
 It is computed here by scanning, inside every input premise, all minimal
 generators of the rule's conclusion, and keeping the ones that no other
 generator can replace.  The scan is exponential only in the input
-dimension, which is what desk-scale and bounded-dimension bases need.
+dimension, which is what desk-scale and bounded-dimension bases need;
+a premise above 20 elements is refused by a size guard.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import partial
 from itertools import combinations
 from typing import Callable
 
-from .errors import PreconditionError
+from .errors import PreconditionError, size_guard
 from .implications import (
     Implication,
     ImplicationalBase,
@@ -23,6 +24,9 @@ from .implications import (
 )
 from .ranking import RankFunction, compute_rank
 from .sets import ElementSet, Record, iter_bits, sort_key_lex
+
+#: The widest premise whose subsets `critical_base` scans.
+PREMISE_GUARD = 20
 
 
 class MinimalGenerator(Record):
@@ -104,6 +108,7 @@ def critical_base(base: ImplicationalBase) -> ImplicationalBase:
     complete.  Output is ordered by conclusion position, then by premise.
     """
     _require_acyclic(base)
+    size_guard(base.dimension, PREMISE_GUARD, "premise")
     ground = base.ground
     close = partial(closure_mask, base)
     kept: set[tuple[int, int]] = set()

@@ -4,9 +4,16 @@ The CLI maps these onto exit codes: ``InputError`` is a malformed file or
 mismatched universe (exit 1), ``PreconditionError`` is a semantic
 precondition violation such as an unranked base (exit 2), and
 ``VerificationError`` is a failed post-hoc consistency check (exit 3).
+Exhaustive scans refuse instances above a size guard through
+:func:`size_guard`, which the environment variable
+``GEODUAL_GUARD_OVERRIDE=1`` lifts.
 """
 
 from __future__ import annotations
+
+import os
+
+GUARD_ENV = "GEODUAL_GUARD_OVERRIDE"
 
 
 class GeodualError(Exception):
@@ -27,6 +34,16 @@ class VerificationError(GeodualError):
 
 class SizeGuardError(PreconditionError):
     """A brute-force routine refused an instance above its size guard."""
+
+
+def size_guard(value: int, limit: int, what: str) -> None:
+    """Raise :class:`SizeGuardError` when `value` exceeds `limit`, unless
+    the override is set."""
+    if value > limit and os.environ.get(GUARD_ENV) != "1":
+        raise SizeGuardError(
+            f"{what} of size {value} exceeds the brute-force guard of {limit}; "
+            f"set {GUARD_ENV}=1 to override"
+        )
 
 
 class NotRankedError(PreconditionError):

@@ -5,21 +5,23 @@ scale and is never on a hot path.  Exhaustive scans are guarded by hard
 size limits; only the environment variable ``GEODUAL_GUARD_OVERRIDE=1``
 lifts them.
 
-The closed sets come from filtering all 2^n subsets by the rules; the
-meets and joins from a closure table over the same subsets, built from
-those flags in n * 2^n steps by intersection alone, which reaches the
-20-element guard in well under a second.
+Every exhaustive reference runs on one engine, and none calls the
+kernels it checks.  The closed sets come from filtering all 2^n subsets
+by the rules; the closure of every subset from a table built from those
+flags in n * 2^n steps by intersection alone.  Meets, joins, minimal
+generators and the maximal closed sets avoiding a down-set read that
+table; minimal transversals filter the 2^k vertex subsets the same way.
+Each reaches its guard (20 elements, 16 vertices) in well under a second.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, SizeGuardError
+from .errors import PreconditionError, size_guard
 from .hypergraphs import Hypergraph
 from .implications import (
     Implication,
@@ -36,18 +38,8 @@ from .sets import (
     sort_key_size_lex,
 )
 
-GUARD_ENV = "GEODUAL_GUARD_OVERRIDE"
-
 CLOSED_SET_GUARD = 20
 TRANSVERSAL_GUARD = 16
-
-
-def _guard(value: int, limit: int, what: str) -> None:
-    if value > limit and os.environ.get(GUARD_ENV) != "1":
-        raise SizeGuardError(
-            f"{what} of size {value} exceeds the brute-force guard of {limit}; "
-            f"set {GUARD_ENV}=1 to override"
-        )
 
 
 # -- exhaustive references --------------------------------------------------
@@ -57,7 +49,7 @@ def _closed_flags(base: ImplicationalBase) -> np.ndarray:
     """One flag per subset of the ground set, indexed by its mask: set
     where the subset satisfies every rule of `base`."""
     n = base.ground.size
-    _guard(n, CLOSED_SET_GUARD, "ground set")
+    size_guard(n, CLOSED_SET_GUARD, "ground set")
     masks = np.arange(1 << n, dtype=np.uint32)
     keep = np.ones(masks.shape, dtype=bool)
     for pmask, concl, _ in base._rules:
@@ -210,61 +202,76 @@ def joins_brute(base: ImplicationalBase) -> tuple[ElementSet, ...]:
     return tuple(ElementSet(u, m) for m in singleton_closures)
 
 
-def mingens_brute(base: ImplicationalBase, target: int) -> tuple[ElementSet, ...]:
-    """All minimal generators of `target`, by exhaustive subset filtering."""
-    from itertools import combinations
+def _minimal_subsets(flags: np.ndarray) -> np.ndarray:
+    """The minimal flagged subsets, ascending, for flags over the 2^k
+    subsets that stay set on every superset: the x whose flag is set
+    while no x minus one element has it.  One pass per element, the step
+    `_closure_table` takes, ORs into each x the flag of x - a."""
+    below = np.zeros_like(flags)
+    for a in range(flags.size.bit_length() - 1):
+        below.reshape(-1, 2, 1 << a)[:, 1] |= flags.reshape(-1, 2, 1 << a)[:, 0]
+    return np.flatnonzero(flags & ~below)
 
-    n = base.ground.size
-    _guard(n, CLOSED_SET_GUARD, "ground set")
+
+def mingens_brute(base: ImplicationalBase, target: int) -> tuple[ElementSet, ...]:
+    """All minimal generators of `target`: the minimal nonempty x without
+    `target` whose closure, read from the closure table, holds it."""
+    _, table = _closure_table(base)
     tbit = 1 << target
-    others = [p for p in range(n) if p != target]
-    found: list[int] = []
-    for size in range(1, n + 1):
-        for combo in combinations(others, size):
-            amask = 0
-            for pos in combo:
-                amask |= 1 << pos
-            if any(g & amask == g for g in found):
-                continue
-            if closure_mask(base, amask) & tbit:
-                found.append(amask)
+    if tbit >> base.ground.size:  # outside the ground set: nothing implies it
+        return ()
+    found = _minimal_subsets((table & tbit) != 0)
+    found = found[((found & tbit) == 0) & (found != 0)]
     u = base.ground
-    return tuple(ElementSet(u, m) for m in sorted(found, key=sort_key_size_lex))
+    return tuple(ElementSet(u, m) for m in _sorted_masks(found))
 
 
 def transversals_brute(h: Hypergraph) -> tuple[ElementSet, ...]:
-    """All minimal transversals, by exhaustive subset filtering."""
-    from itertools import combinations
+    """All minimal transversals: the minimal x meeting every edge.
 
-    nverts = len(h.vertices)
-    _guard(nverts, TRANSVERSAL_GUARD, "vertex set")
-    edges = [e.mask for e in h.edges]
+    The k vertices are renumbered 0..k-1, which keeps their order, so
+    the subsets are sorted in that numbering and then mapped back.
+    """
     positions = h.vertices.indices()
-    found: list[int] = []
-    for size in range(0, nverts + 1):
-        for combo in combinations(positions, size):
-            tmask = 0
-            for pos in combo:
-                tmask |= 1 << pos
-            if any(t & tmask == t for t in found):
-                continue
-            if all(tmask & e for e in edges):
-                found.append(tmask)
+    k = len(positions)
+    size_guard(k, TRANSVERSAL_GUARD, "vertex set")
+    subsets = np.arange(1 << k, dtype=np.uint32)
+    meets_all = np.ones(subsets.shape, dtype=bool)
+    for e in h.edges:
+        local = sum(1 << i for i, pos in enumerate(positions) if e.mask >> pos & 1)
+        meets_all &= (subsets & local) != 0
     u = h.universe
-    return tuple(ElementSet(u, m) for m in sorted(found, key=sort_key_size_lex))
+    return tuple(
+        ElementSet(u, sum(1 << positions[i] for i in iter_bits(m)))
+        for m in _sorted_masks(_minimal_subsets(meets_all))
+    )
 
 
 def maximal_closed_avoiding(base: ImplicationalBase, avoid: ElementSet) -> tuple[ElementSet, ...]:
-    """Maximal closed sets disjoint from `avoid`, from the full lattice."""
-    disjoint = (m for m in closed_set_masks(base) if not m & avoid.mask)
-    return tuple(ElementSet(base.ground, m) for m in maximal_masks(disjoint))
+    """Maximal closed sets disjoint from `avoid`."""
+    masks = positive_antichain_masks(base, [1 << a for a in avoid])
+    return tuple(ElementSet(base.ground, m) for m in masks)
 
 
 def positive_antichain_masks(base: ImplicationalBase, minus: Sequence[int]) -> list[int]:
     """The maximal closed sets containing no mask of `minus`, in size-lex
-    order: the positive antichain dual to the negative antichain `minus`."""
-    closed = closed_set_masks(base)
-    return maximal_masks(f for f in closed if not any(a & f == a for a in minus))
+    order: the positive antichain dual to the negative antichain `minus`.
+
+    Flags over all subsets mark those containing a mask of `minus`, spread
+    to supersets by one pass per element.  A closed C without a flag is
+    maximal when, for each a outside C, the closure of C + a has one.
+    """
+    closed, table = _closure_table(base)
+    hit = np.zeros(table.shape, dtype=bool)
+    hit[list(minus)] = True
+    for a in range(base.ground.size):
+        pairs = hit.reshape(-1, 2, 1 << a)
+        pairs[:, 1] |= pairs[:, 0]
+    keep = ~hit[closed]
+    for a in range(base.ground.size):
+        outside, grown = _extensions(closed, table, a)
+        keep &= ~outside | hit[grown]
+    return _sorted_masks(closed[keep])
 
 
 def intersection_closure(ground: GroundSet, sets: Iterable[ElementSet]) -> list[int]:
@@ -353,6 +360,11 @@ def _check_generator_bounds(max_elements: int, max_implications: int = 0) -> Non
         )
 
 
+def _random_mask(rng: random.Random, pool: Sequence[int], cap: int) -> int:
+    """The mask of 1 to `cap` distinct positions drawn from `pool`."""
+    return sum(1 << pos for pos in rng.sample(pool, rng.randint(1, min(cap, len(pool)))))
+
+
 def _random_level_split(rng: random.Random, n: int, parts: int) -> list[list[int]]:
     positions = list(range(n))
     rng.shuffle(positions)
@@ -389,11 +401,7 @@ def random_ranked_base(
         for _ in range(count):
             i = rng.randrange(len(levels) - 1)
             upper, lower = levels[i + 1], levels[i]
-            psize = rng.randint(1, min(3, len(upper)))
-            premise = 0
-            for pos in rng.sample(upper, psize):
-                premise |= 1 << pos
-            chosen.add((premise, rng.choice(lower)))
+            chosen.add((_random_mask(rng, upper, 3), rng.choice(lower)))
         base = ImplicationalBase(
             ground,
             [Implication(ElementSet(ground, p), c) for p, c in sorted(chosen)],
@@ -420,12 +428,7 @@ def random_acyclic_base(
         for _ in range(count):
             ci = rng.randrange(n - 1)
             concl = topo[ci]
-            pool = topo[ci + 1 :]
-            psize = rng.randint(1, min(3, len(pool)))
-            premise = 0
-            for pos in rng.sample(pool, psize):
-                premise |= 1 << pos
-            chosen.add((premise, concl))
+            chosen.add((_random_mask(rng, topo[ci + 1 :], 3), concl))
         base = ImplicationalBase(
             ground,
             [Implication(ElementSet(ground, p), c) for p, c in sorted(chosen)],
@@ -464,11 +467,7 @@ def random_hypergraph(
         if rng.random() < 0.03:
             edges.append(ElementSet.empty(ground))
             continue
-        size = rng.randint(1, min(4, n))
-        mask = 0
-        for pos in rng.sample(range(n), size):
-            mask |= 1 << pos
-        edges.append(ElementSet(ground, mask))
+        edges.append(ElementSet(ground, _random_mask(rng, range(n), 4)))
     return Hypergraph(vertices, edges)
 
 
@@ -485,11 +484,7 @@ def random_antichain_families(
     n = u.size
     minus_masks: set[int] = set()
     for _ in range(rng.randint(1, 3)):
-        size = rng.randint(1, n)
-        smask = 0
-        for pos in rng.sample(range(n), size):
-            smask |= 1 << pos
-        minus_masks.add(closure_mask(base, smask))
+        minus_masks.add(closure_mask(base, _random_mask(rng, range(n), n)))
     minus = maximal_masks(m for m in minus_masks if m != 0)
     plus = positive_antichain_masks(base, minus)
     if not dual:
@@ -510,11 +505,7 @@ def perturb_until_unranked(rng: random.Random, base: ImplicationalBase) -> Impli
         if isinstance(compute_rank(current), RankConflict):
             return current
         concl = rng.randrange(n)
-        pool = [p for p in range(n) if p != concl]
-        psize = rng.randint(1, min(3, len(pool)))
-        pmask = 0
-        for pos in rng.sample(pool, psize):
-            pmask |= 1 << pos
+        pmask = _random_mask(rng, [p for p in range(n) if p != concl], 3)
         if any(r[:2] == (pmask, concl) for r in current._rules):
             continue
         current = ImplicationalBase(

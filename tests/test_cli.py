@@ -706,6 +706,73 @@ def test_cli_writes_stdout_only_through_its_writer():
     )
 
 
+#: The oracle's exhaustive references, and the names none of them may use:
+#: the kernel they check, and the subset loop and lattice scan they replaced.
+ORACLE_REFERENCES = (
+    "closed_set_masks", "meets_brute", "joins_brute", "mingens_brute",
+    "transversals_brute", "maximal_closed_avoiding", "positive_antichain_masks",
+)
+OFF_ENGINE_NAMES = {"closure_mask", "combinations", "maximal_masks"}
+
+
+def test_oracle_references_use_only_the_table():
+    """Every exhaustive reference enumerates subsets one way, through the
+    closure table, and shares no code with the kernels it checks."""
+    tree = ast.parse((SRC / "geodual" / "oracle.py").read_text())
+    found = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in ORACLE_REFERENCES:
+            used = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+            found[top.name] = sorted(used & OFF_ENGINE_NAMES)
+    assert found == {name: [] for name in ORACLE_REFERENCES}
+
+
+@pytest.mark.parametrize(
+    "command, err",
+    [
+        ("ccm layered.imp", None),
+        ("sid layered.mf", None),
+        ("critical-base layered.imp", None),
+        ("rank-check layered.imp", None),
+        ("oracle meets layered.imp", None),
+        # a command that fails before it writes keeps its own error
+        ("ccm missing.imp", "error: {path}: No such file or directory"),
+    ],
+)
+def test_closed_stdout_exits_1(data_dir, command, err):
+    # Started with stdout closed, Python sets `sys.stdout` to None; the
+    # command reports one line and no traceback.
+    *words, name = command.split()
+    path = data_dir / name
+    proc = subprocess.run(
+        [sys.executable, "-m", "geodual.cli", *words, str(path)],
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=lambda: os.close(1),
+    )
+    err = (err or "error: stdout: Bad file descriptor").format(path=path)
+    assert (proc.returncode, proc.stderr.decode()) == (1, err + "\n")
+
+
+@pytest.mark.parametrize("command", ["critical-base", "roundtrip"])
+def test_wide_premise_guarded(capsys, tmp_path, command):
+    # The critical base scans every subset of each premise: one of 21
+    # elements is refused before any scan.
+    path = tmp_path / "wide.imp"
+    labels = [f"a{i}" for i in range(22)]
+    path.write_text(f"elements: {' '.join(labels)}\n{' '.join(labels[:21])} -> a21\n")
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err == (
+        "precondition violated: premise of size 21 exceeds the brute-force guard "
+        "of 20; set GEODUAL_GUARD_OVERRIDE=1 to override\n"
+    )
+
+
 # The modules that `ccm` and `sid` run through: no definitional reference
 # code (`geodual.oracle`, exponential) and no numpy may be reached from them.
 TRANSLATION_MODULES = (

@@ -12,6 +12,8 @@ from geodual import (
     ImplicationalBase,
     MinimalGenerator,
     PreconditionError,
+    SizeGuardError,
+    critical,
     critical_base,
     equivalent,
     is_ranked_geometry,
@@ -101,6 +103,24 @@ def test_critical_base_ordered_by_conclusion_then_position_tuple(base):
         for imp in critical_base(base).implications
     ]
     assert keys == sorted(keys)
+
+
+class TestPremiseGuard:
+    def wide(self, k):
+        labels = [f"a{i}" for i in range(k + 1)]
+        return make_base(" ".join(labels), [(" ".join(labels[:k]), labels[k])])
+
+    @pytest.mark.parametrize("check", [critical_base, is_ranked_geometry])
+    def test_premise_above_twenty_refused(self, check):
+        with pytest.raises(SizeGuardError, match="premise of size 21 exceeds"):
+            check(self.wide(21))
+
+    def test_override_lifts_the_guard(self, monkeypatch):
+        monkeypatch.setattr(critical, "PREMISE_GUARD", 3)
+        with pytest.raises(SizeGuardError):
+            critical_base(self.wide(4))
+        monkeypatch.setenv("GEODUAL_GUARD_OVERRIDE", "1")
+        assert critical_base(self.wide(4)) == self.wide(4)
 
 
 class TestIsRankedGeometry:

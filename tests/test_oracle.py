@@ -1,6 +1,7 @@
 """The brute-force references themselves, pinned on the worked examples."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,16 +10,19 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA, family, layered_base, make_base, sets_of
 from geodual import (
     ElementSet,
+    GroundSet,
     MeetFamily,
+    MinimalGenerator,
     PreconditionError,
     SizeGuardError,
     critical_base,
     formats,
+    is_redundant,
     is_standard,
     meet_irreducibles,
     recover_critical_base,
 )
-from geodual.hypergraphs import Hypergraph
+from geodual.hypergraphs import Hypergraph, minimal_transversals
 from geodual.implications import closure_mask, is_acyclic
 from geodual.oracle import (
     _sorted_masks,
@@ -30,13 +34,15 @@ from geodual.oracle import (
     maximal_closed_avoiding,
     meets_brute,
     mingens_brute,
+    positive_antichain_masks,
     random_acyclic_base,
     random_distributive_base,
+    random_hypergraph,
     random_ranked_base,
     transversals_brute,
 )
 from geodual.ranking import RankFunction, compute_rank, validate_rank
-from geodual.sets import sort_key_size_lex
+from geodual.sets import maximal_masks, sort_key_size_lex
 
 
 class TestAllClosedSets:
@@ -121,11 +127,114 @@ def test_ladder_rung_at_twenty_elements():
     assert recover_critical_base(MeetFamily(base.ground, brute)) == critical_base(base)
 
 
-@pytest.mark.parametrize("reference", [meets_brute, joins_brute])
+def test_ladder_rung_critical_premises_are_minimal_generators():
+    # On the same rung, the premises `critical_base` keeps for a conclusion
+    # are exactly its minimal generators that no other one can replace.
+    base = layered_base(4, 5, 3, 2, seed=7)
+    crit = critical_base(base)
+    for target in sorted({imp.conclusion for imp in crit.implications}):
+        gens = mingens_brute(base, target)
+        kept = {imp.premise for imp in crit.implications if imp.conclusion == target}
+        assert kept == {g for g in gens if not is_redundant(base, MinimalGenerator(g, target))}
+
+
+@pytest.mark.parametrize("first", [0, 48, 70])
+def test_berge_matches_transversals_brute_at_sixteen_vertices(first):
+    # 16 vertices at positions first..first+15, above position 63 for 48
+    # and 70, where the oracle works in its own vertex numbering.
+    rng = random.Random(first)
+    ground = GroundSet(f"v{i}" for i in range(first + 16))
+    window = range(first, first + 16)
+    vertices = ElementSet(ground, sum(1 << p for p in window))
+    for _ in range(4):
+        edges = [
+            ElementSet(ground, sum(1 << p for p in rng.sample(window, rng.randint(2, 5))))
+            for _ in range(rng.randint(3, 12))
+        ]
+        h = Hypergraph(vertices, edges)
+        want = sorted((t.mask for t in minimal_transversals(h)), key=sort_key_size_lex)
+        assert [t.mask for t in transversals_brute(h)] == want
+
+
+_WIDE = make_base(" ".join(f"x{i}" for i in range(21)), [])
+_GUARDED = {
+    "meets_brute": meets_brute,
+    "joins_brute": joins_brute,
+    "mingens_brute": lambda base: mingens_brute(base, 0),
+    "transversals_brute": lambda base: transversals_brute(
+        Hypergraph(ElementSet.full(base.ground), [])
+    ),
+    "maximal_closed_avoiding": lambda base: maximal_closed_avoiding(
+        base, ElementSet.empty(base.ground)
+    ),
+    "positive_antichain_masks": lambda base: positive_antichain_masks(base, []),
+}
+
+
+@pytest.mark.parametrize("reference", _GUARDED.values(), ids=_GUARDED.keys())
 def test_table_references_guarded(reference):
-    base = make_base(" ".join(f"x{i}" for i in range(21)), [])
     with pytest.raises(SizeGuardError):
-        reference(base)
+        reference(_WIDE)
+
+
+# The subset loops and lattice scans these references once were, kept as
+# definitions to check the table-based versions against.
+
+
+def mingens_by_definition(base, target):
+    """Subsets of the other elements by size: one whose closure holds
+    `target` and that holds no generator found before is a generator."""
+    tbit = 1 << target
+    others = [p for p in range(base.ground.size) if p != target]
+    found = []
+    for size in range(1, len(others) + 1):
+        for combo in combinations(others, size):
+            amask = sum(1 << pos for pos in combo)
+            if not any(g & amask == g for g in found) and closure_mask(base, amask) & tbit:
+                found.append(amask)
+    return sorted(found, key=sort_key_size_lex)
+
+
+def transversals_by_definition(h):
+    """Vertex subsets by size: one meeting every edge and holding no
+    transversal found before is minimal."""
+    edges = [e.mask for e in h.edges]
+    found = []
+    for size in range(len(h.vertices) + 1):
+        for combo in combinations(h.vertices.indices(), size):
+            tmask = sum(1 << pos for pos in combo)
+            if not any(t & tmask == t for t in found) and all(tmask & e for e in edges):
+                found.append(tmask)
+    return sorted(found, key=sort_key_size_lex)
+
+
+def avoiding_by_definition(base, avoid):
+    return maximal_masks(m for m in closed_set_masks(base) if not m & avoid.mask)
+
+
+def antichain_by_definition(base, minus):
+    return maximal_masks(
+        f for f in closed_set_masks(base) if not any(a & f == a for a in minus)
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_references_match_their_definitions(seed):
+    rng = random.Random(seed)
+    for i in range(12):
+        base = random_ranked_base(rng, 9) if i % 2 else random_acyclic_base(rng, 8)
+        n = base.ground.size
+        for target in range(n + 2):  # n and n + 1 lie outside the ground set
+            got = mingens_brute(base, target)
+            assert [g.mask for g in got] == mingens_by_definition(base, target)
+        assert mingens_brute(base, n) == ()
+        avoid = ElementSet(base.ground, rng.getrandbits(n))
+        got = maximal_closed_avoiding(base, avoid)
+        assert [m.mask for m in got] == avoiding_by_definition(base, avoid)
+        minus = maximal_masks(rng.getrandbits(n) for _ in range(rng.randint(0, 4)))
+        assert positive_antichain_masks(base, minus) == antichain_by_definition(base, minus)
+        h = random_hypergraph(rng, max_vertices=10)
+        assert [t.mask for t in transversals_brute(h)] == transversals_by_definition(h)
 
 
 class TestJoinsBrute:
