@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .sets import ElementSet
+from .sets import ElementSet, iter_bits
 
 
 def _write_lines(lines) -> None:
@@ -52,12 +52,14 @@ def _write_lines(lines) -> None:
         flush()
 
 
-def _set_lines(sets, as_json: bool):
+def _set_lines(ground, masks, as_json: bool):
+    """One line per mask of `ground`: its labels, or ``{"set": [...]}``."""
     import json
 
     if as_json:
-        return (json.dumps({"set": list(s.labels())}) for s in sets)
-    return map(formats.format_set, sets)
+        labels = ground.labels
+        return (json.dumps({"set": [labels[i] for i in iter_bits(m)]}) for m in masks)
+    return (formats.format_mask(ground, m) for m in masks)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -209,7 +211,7 @@ def cmd_oracle(args) -> int:
 
     # The oracle pulls in numpy, which no other command needs.
     from .oracle import (
-        all_closed_sets,
+        closed_set_masks,
         joins_brute,
         meets_brute,
         mingens_brute,
@@ -224,17 +226,19 @@ def cmd_oracle(args) -> int:
     if args.oracle_command == "mingens" and not args.target:
         raise InputError("oracle mingens requires --target")
     if args.oracle_command == "closed-sets":
-        lines = _set_lines(all_closed_sets(formats.read_imp(args.file)), args.json)
-    elif args.oracle_command == "meets":
-        lines = _set_lines(meets_brute(formats.read_imp(args.file)), args.json)
-    elif args.oracle_command == "joins":
-        lines = _set_lines(joins_brute(formats.read_imp(args.file)), args.json)
+        base = formats.read_imp(args.file)
+        lines = _set_lines(base.ground, closed_set_masks(base), args.json)
+    elif args.oracle_command in ("meets", "joins"):
+        base = formats.read_imp(args.file)
+        listing = meets_brute if args.oracle_command == "meets" else joins_brute
+        lines = _set_lines(base.ground, [s.mask for s in listing(base)], args.json)
     elif args.oracle_command == "mingens":
         base = formats.read_imp(args.file)
         target = base.ground.position(args.target)
-        lines = _set_lines(mingens_brute(base, target), args.json)
+        lines = _set_lines(base.ground, [s.mask for s in mingens_brute(base, target)], args.json)
     elif args.oracle_command == "transversals":
-        lines = _set_lines(transversals_brute(formats.read_hg(args.file)), args.json)
+        h = formats.read_hg(args.file)
+        lines = _set_lines(h.universe, [t.mask for t in transversals_brute(h)], args.json)
     elif args.oracle_command == "partition":
         from .sid import MeetFamily, partition_meets
 

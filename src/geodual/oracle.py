@@ -6,12 +6,13 @@ size limits; only the environment variable ``GEODUAL_GUARD_OVERRIDE=1``
 lifts them.
 
 Every exhaustive reference runs on one engine, and none calls the
-kernels it checks.  The closed sets come from filtering all 2^n subsets
-by the rules; the closure of every subset from a table built from those
-flags in n * 2^n steps by intersection alone.  Meets, joins, minimal
-generators and the maximal closed sets avoiding a down-set read that
-table; minimal transversals filter the 2^k vertex subsets the same way.
-Each reaches its guard (20 elements, 16 vertices) in well under a second.
+kernels it checks.  Each subset filter is one strided write into a
+subcube of the 2^n subsets: a rule P -> c clears the x holding P but
+not c.  The closure of every subset comes from a table built from the
+closed flags in n * 2^n steps by intersection alone.  Meets, joins,
+minimal generators and the maximal closed sets avoiding a down-set read
+that table; minimal transversals filter the 2^k vertex subsets the same
+way.  Each call rebuilds its table, in well under a second at the guard.
 """
 
 from __future__ import annotations
@@ -45,16 +46,26 @@ TRANSVERSAL_GUARD = 16
 # -- exhaustive references --------------------------------------------------
 
 
+def _subcube(n: int, ones: int, zeros: int) -> tuple:
+    """The index of the subsets x with `ones` in x and `zeros` outside it,
+    in a ``(2,) * n`` array of all subsets whose axis n - 1 - a is bit a."""
+    return tuple(
+        1 if ones >> a & 1 else 0 if zeros >> a & 1 else slice(None)
+        for a in reversed(range(n))
+    )
+
+
 def _closed_flags(base: ImplicationalBase) -> np.ndarray:
     """One flag per subset of the ground set, indexed by its mask: set
-    where the subset satisfies every rule of `base`."""
+    where the subset satisfies every rule of `base`.  Each rule P -> c
+    clears the subcube of the x holding P but not c."""
     n = base.ground.size
     size_guard(n, CLOSED_SET_GUARD, "ground set")
-    masks = np.arange(1 << n, dtype=np.uint32)
-    keep = np.ones(masks.shape, dtype=bool)
+    flags = np.ones(1 << n, dtype=bool)
+    cube = flags.reshape((2,) * n)
     for pmask, concl, _ in base._rules:
-        keep &= ((masks & pmask) != pmask) | ((masks >> concl) & 1).astype(bool)
-    return keep
+        cube[_subcube(n, pmask, 1 << concl)] = False
+    return flags
 
 
 def _closure_table(base: ImplicationalBase) -> tuple[np.ndarray, np.ndarray]:
@@ -102,8 +113,7 @@ def closed_set_masks(base: ImplicationalBase) -> list[int]:
 
 def all_closed_sets(base: ImplicationalBase) -> tuple[ElementSet, ...]:
     """Every closed set of `base`, by exhaustive filtering of all subsets."""
-    u = base.ground
-    return tuple(ElementSet(u, m) for m in closed_set_masks(base))
+    return tuple(ElementSet(base.ground, m) for m in closed_set_masks(base))
 
 
 def family_meet_masks(family: Sequence[int], full: int) -> list[int]:
@@ -155,8 +165,7 @@ def meets_brute(base: ImplicationalBase) -> tuple[ElementSet, ...]:
     for a in range(base.ground.size):
         outside, grown = _extensions(closed, table, a)
         above[outside] &= grown[outside]
-    u = base.ground
-    return tuple(ElementSet(u, m) for m in _sorted_masks(closed[above != closed]))
+    return tuple(ElementSet(base.ground, m) for m in _sorted_masks(closed[above != closed]))
 
 
 def joins_brute(base: ImplicationalBase) -> tuple[ElementSet, ...]:
@@ -166,31 +175,22 @@ def joins_brute(base: ImplicationalBase) -> tuple[ElementSet, ...]:
     sets with a unique maximal proper closed subset.  A mismatch means
     the base is not standard and is reported as an error.
 
-    The upper covers of a closed C are the minimal sets among the
-    closures of C + a, a outside C; a closed J has a unique lower cover
-    when exactly one C has J among its upper covers.  One pass over the
-    closed sets per pair of elements, so cost n^2 * (closed sets) on top
-    of the n * 2^n table.
+    The union of the proper closed subsets of a closed J is the set of
+    x in J whose closure cl(x) is not J.  J has a unique lower cover
+    exactly when the closure of that union differs from J: every proper
+    closed subset lies under some lower cover, and two distinct lower
+    covers already close to J.  One pass over the closed sets per element, on top of
+    the n * 2^n table.
     """
     closed, table = _closure_table(base)
     n = base.ground.size
     closures = [int(table[1 << j]) for j in range(n)]
     singleton_closures = sorted(set(closures), key=sort_key_size_lex)
-    grown = [_extensions(closed, table, a) for a in range(n)]
-    lower_covers = np.zeros(1 << n, dtype=np.intp)
-    for a, (outside_a, up_a) in enumerate(grown):
-        # up_a is a cover of C unless a strictly smaller candidate exists;
-        # equal candidates count once, at their lowest element
-        cover = outside_a.copy()
-        for b, (outside_b, up_b) in enumerate(grown):
-            if b == a:
-                continue
-            below = (up_b & up_a) == up_b
-            if b > a:
-                below &= up_b != up_a
-            cover &= ~(outside_b & below)
-        lower_covers += np.bincount(up_a[cover], minlength=1 << n)
-    unique_pred = _sorted_masks(np.flatnonzero(lower_covers == 1))
+    union = np.zeros_like(closed)
+    for j, closure in enumerate(closures):
+        bit = np.uint32(1 << j)
+        union[((closed & bit) != 0) & (closed != closure)] |= bit
+    unique_pred = _sorted_masks(closed[table[union] != closed])
     # standard exactly when the element-to-closure map is a bijection onto
     # the unique-predecessor elements
     if len(singleton_closures) != len(closures) or singleton_closures != unique_pred:
@@ -198,8 +198,7 @@ def joins_brute(base: ImplicationalBase) -> tuple[ElementSet, ...]:
             "standardness violation: singleton closures do not match the "
             "unique-predecessor elements of the closure lattice one for one"
         )
-    u = base.ground
-    return tuple(ElementSet(u, m) for m in singleton_closures)
+    return tuple(ElementSet(base.ground, m) for m in singleton_closures)
 
 
 def _minimal_subsets(flags: np.ndarray) -> np.ndarray:
@@ -222,12 +221,12 @@ def mingens_brute(base: ImplicationalBase, target: int) -> tuple[ElementSet, ...
         return ()
     found = _minimal_subsets((table & tbit) != 0)
     found = found[((found & tbit) == 0) & (found != 0)]
-    u = base.ground
-    return tuple(ElementSet(u, m) for m in _sorted_masks(found))
+    return tuple(ElementSet(base.ground, m) for m in _sorted_masks(found))
 
 
 def transversals_brute(h: Hypergraph) -> tuple[ElementSet, ...]:
-    """All minimal transversals: the minimal x meeting every edge.
+    """All minimal transversals: the minimal x meeting every edge, after
+    each edge clears the subcube of the x that miss it.
 
     The k vertices are renumbered 0..k-1, which keeps their order, so
     the subsets are sorted in that numbering and then mapped back.
@@ -235,11 +234,11 @@ def transversals_brute(h: Hypergraph) -> tuple[ElementSet, ...]:
     positions = h.vertices.indices()
     k = len(positions)
     size_guard(k, TRANSVERSAL_GUARD, "vertex set")
-    subsets = np.arange(1 << k, dtype=np.uint32)
-    meets_all = np.ones(subsets.shape, dtype=bool)
+    meets_all = np.ones(1 << k, dtype=bool)
+    cube = meets_all.reshape((2,) * k)
     for e in h.edges:
         local = sum(1 << i for i, pos in enumerate(positions) if e.mask >> pos & 1)
-        meets_all &= (subsets & local) != 0
+        cube[_subcube(k, 0, local)] = False
     u = h.universe
     return tuple(
         ElementSet(u, sum(1 << positions[i] for i in iter_bits(m)))
@@ -257,18 +256,18 @@ def positive_antichain_masks(base: ImplicationalBase, minus: Sequence[int]) -> l
     """The maximal closed sets containing no mask of `minus`, in size-lex
     order: the positive antichain dual to the negative antichain `minus`.
 
-    Flags over all subsets mark those containing a mask of `minus`, spread
-    to supersets by one pass per element.  A closed C without a flag is
-    maximal when, for each a outside C, the closure of C + a has one.
+    Flags over all subsets mark the subcube of supersets of each mask of
+    `minus`.  A closed C without a flag is maximal when, for each a
+    outside C, the closure of C + a has one.
     """
     closed, table = _closure_table(base)
+    n = base.ground.size
     hit = np.zeros(table.shape, dtype=bool)
-    hit[list(minus)] = True
-    for a in range(base.ground.size):
-        pairs = hit.reshape(-1, 2, 1 << a)
-        pairs[:, 1] |= pairs[:, 0]
+    cube = hit.reshape((2,) * n)
+    for m in minus:  # read as an index into the subsets: IndexError past them
+        cube[_subcube(n, range(1 << n)[m], 0)] = True
     keep = ~hit[closed]
-    for a in range(base.ground.size):
+    for a in range(n):
         outside, grown = _extensions(closed, table, a)
         keep &= ~outside | hit[grown]
     return _sorted_masks(closed[keep])

@@ -706,13 +706,15 @@ def test_cli_writes_stdout_only_through_its_writer():
     )
 
 
-#: The oracle's exhaustive references, and the names none of them may use:
-#: the kernel they check, and the subset loop and lattice scan they replaced.
+#: The oracle's exhaustive references and the closed flags they all share,
+#: and the names none of them may use: the kernel they check, the subset
+#: loop and lattice scan they replaced, and the full array of 2^n masks
+#: that subcube writes replaced.
 ORACLE_REFERENCES = (
-    "closed_set_masks", "meets_brute", "joins_brute", "mingens_brute",
+    "_closed_flags", "closed_set_masks", "meets_brute", "joins_brute", "mingens_brute",
     "transversals_brute", "maximal_closed_avoiding", "positive_antichain_masks",
 )
-OFF_ENGINE_NAMES = {"closure_mask", "combinations", "maximal_masks"}
+OFF_ENGINE_NAMES = {"closure_mask", "combinations", "maximal_masks", "arange"}
 
 
 def test_oracle_references_use_only_the_table():

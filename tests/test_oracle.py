@@ -218,6 +218,16 @@ def antichain_by_definition(base, minus):
     )
 
 
+def joins_by_definition(base):
+    """Closed sets with exactly one maximal proper closed subset, by
+    comparing every pair of closed sets."""
+    closed = closed_set_masks(base)
+    return [
+        j for j in closed
+        if len(maximal_masks(c for c in closed if c & j == c and c != j)) == 1
+    ]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_references_match_their_definitions(seed):
     rng = random.Random(seed)
@@ -235,6 +245,14 @@ def test_references_match_their_definitions(seed):
         assert positive_antichain_masks(base, minus) == antichain_by_definition(base, minus)
         h = random_hypergraph(rng, max_vertices=10)
         assert [t.mask for t in transversals_brute(h)] == transversals_by_definition(h)
+        # both generators return standard bases, on which joins_brute does not raise
+        assert [j.mask for j in joins_brute(base)] == joins_by_definition(base)
+
+
+def test_antichain_mask_past_the_ground_set_raises_index_error(data_dir):
+    base = formats.read_imp(data_dir / "chain.imp")
+    with pytest.raises(IndexError):
+        positive_antichain_masks(base, [1 << base.ground.size])
 
 
 class TestJoinsBrute:
