@@ -10,7 +10,8 @@ and flushed line by line; a label that encoding cannot hold ends the
 command with exit code 1 and one line on stderr.  A reader that closes
 the output early (``geodual ccm big.imp | head -1``) ends the command
 quietly, with exit code 1 and nothing on stderr; a command started with
-stdout closed exits 1 with one line on stderr.
+stdout closed exits 1 with one line on stderr.  JSON lines are the bytes
+`json.dumps` writes, with each label quoted once per command.
 
 Each command imports the modules it runs when it runs, so that a command
 starts without loading what only the others need.
@@ -31,7 +32,7 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .sets import ElementSet, iter_bits
+from .sets import ElementSet, GroundSet
 
 
 def _write_lines(lines) -> None:
@@ -52,14 +53,15 @@ def _write_lines(lines) -> None:
         flush()
 
 
-def _set_lines(ground, masks, as_json: bool):
-    """One line per mask of `ground`: its labels, or ``{"set": [...]}``."""
+def _json_items(ground):
+    """A function from a mask of `ground` to its labels as `json.dumps`
+    writes the items of a list.  Each label is quoted once, and no quoted
+    label holds a space: labels hold no whitespace, and `json.dumps` escapes
+    every character outside printable ASCII."""
     import json
 
-    if as_json:
-        labels = ground.labels
-        return (json.dumps({"set": [labels[i] for i in iter_bits(m)]}) for m in masks)
-    return (formats.format_mask(ground, m) for m in masks)
+    join = GroundSet(map(json.dumps, ground.labels)).join_labels
+    return lambda mask: join(mask).replace(" ", ", ")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -73,15 +75,9 @@ def cmd_ccm(args) -> int:
     meets_avoiding = MeetsAvoiding(base, ranked(base))
     elements, labels = range(ground.size), ground.labels
     if args.json:
-        import json
-
-        _write_lines(
-            json.dumps(
-                {"element": labels[j], "meet": list(ElementSet(ground, mask).labels())}
-            )
-            for j in elements
-            for mask in meets_avoiding(j)
-        )
+        items = _json_items(ground)
+        heads = [f'{{"element": {items(1 << j)}, "meet": [' for j in elements]
+        _write_lines(f"{heads[j]}{items(mask)}]}}" for j in elements for mask in meets_avoiding(j))
         return 0
     prefixes = [f"{label}: " for label in labels] if args.by_element else [""] * ground.size
     join, empty = ground.join_labels, formats.EMPTY_SET_TOKEN
@@ -145,41 +141,30 @@ def cmd_rank_check(args) -> int:
     return 0 if is_ranked else 2
 
 
-def _load_antichain(base, path):
-    from .dualization import Antichain
-
+def _read_sets(base, path) -> list[ElementSet]:
+    """The sets of the .mf file `path`, whose element list must be the base's."""
     ground, sets = formats.read_mf(path)
     if ground != base.ground:
-        raise InputError(
-            f"{path}: element list differs from the base (order matters)"
-        )
-    rehosted = [ElementSet(base.ground, s.mask) for s in sets]
-    return Antichain(base, rehosted)
+        raise InputError(f"{path}: element list differs from the base (order matters)")
+    return [ElementSet(base.ground, s.mask) for s in sets]
 
 
 def cmd_dual_check(args) -> int:
-    from .dualization import check_dual
+    from .dualization import Antichain, check_dual
 
     base = formats.read_imp(args.file)
-    bplus = _load_antichain(base, args.plus)
-    bminus = _load_antichain(base, args.minus)
+    bplus, bminus = (Antichain(base, _read_sets(base, p)) for p in (args.plus, args.minus))
     _write_lines(["dual" if check_dual(base, bplus, bminus) else "not dual"])
     return 0
 
 
 def cmd_reduce(args) -> int:
-    from .dualization import reduce_dual_to_cmi
+    from .dualization import Antichain, reduce_dual_to_cmi
     from .sid import MeetFamily
 
     base = formats.read_imp(args.file)
-    bplus = _load_antichain(base, args.plus)
-    bminus = _load_antichain(base, args.minus)
-    meets = None
-    if args.meets:
-        ground, sets = formats.read_mf(args.meets)
-        if ground != base.ground:
-            raise InputError(f"{args.meets}: element list differs from the base")
-        meets = MeetFamily(base.ground, [ElementSet(base.ground, s.mask) for s in sets])
+    bplus, bminus = (Antichain(base, _read_sets(base, p)) for p in (args.plus, args.minus))
+    meets = MeetFamily(base.ground, _read_sets(base, args.meets)) if args.meets else None
     omega, family = reduce_dual_to_cmi(base, bplus, bminus, meets)
     formats.write_imp(omega, args.out_base)
     formats.write_mf(family.ground, family.meets, args.out_meets)
@@ -206,63 +191,64 @@ def cmd_roundtrip(args) -> int:
     )
 
 
+# -- oracle subcommands ------------------------------------------------------
+#
+# Each gives its lines from `geodual.oracle`, passed in as `o`: only these
+# commands import it, and with it numpy.
+
+
 def cmd_oracle(args) -> int:
+    from . import oracle
+
+    _write_lines(args.lines(oracle, args))
+    return 0
+
+
+def _oracle_input(args, read=formats.read_imp):
+    """The input file read by `read`, once the subcommand has the options it needs."""
+    if not args.file:
+        raise InputError(f"oracle {args.oracle_command} requires an input file")
+    if "target" in args and not args.target:
+        raise InputError(f"oracle {args.oracle_command} requires --target")
+    return read(args.file)
+
+
+def _listing(masks_of, read=formats.read_imp):
+    """A listing: read the input, get its ground set and the masks to list
+    from ``masks_of(o, input, args)``, and give one line per mask: its
+    labels, or ``{"set": [...]}``."""
+
+    def lines(o, args):
+        ground, masks = masks_of(o, _oracle_input(args, read), args)
+        if args.json:
+            items = _json_items(ground)
+            return (f'{{"set": [{items(m)}]}}' for m in masks)
+        return (formats.format_mask(ground, m) for m in masks)
+
+    return lines
+
+
+def _masks(sets) -> list[int]:
+    return [s.mask for s in sets]
+
+
+def _partition(o, args):
+    from .sid import MeetFamily, partition_meets
+
+    ground, sets = _oracle_input(args, formats.read_mf)
+    parts = sorted(partition_meets(MeetFamily(ground, sets)).items())
+    return (f"{ground.labels[j]}: {formats.format_set(m)}" for j, fam in parts for m in fam)
+
+
+def _seeded(args):
     import random
 
-    # The oracle pulls in numpy, which no other command needs.
-    from .oracle import (
-        closed_set_masks,
-        joins_brute,
-        meets_brute,
-        mingens_brute,
-        random_acyclic_base,
-        random_hypergraph,
-        random_ranked_base,
-        transversals_brute,
-    )
+    return random.Random(args.seed)
 
-    if not args.oracle_command.startswith("gen-") and not args.file:
-        raise InputError(f"oracle {args.oracle_command} requires an input file")
-    if args.oracle_command == "mingens" and not args.target:
-        raise InputError("oracle mingens requires --target")
-    if args.oracle_command == "closed-sets":
-        base = formats.read_imp(args.file)
-        lines = _set_lines(base.ground, closed_set_masks(base), args.json)
-    elif args.oracle_command in ("meets", "joins"):
-        base = formats.read_imp(args.file)
-        listing = meets_brute if args.oracle_command == "meets" else joins_brute
-        lines = _set_lines(base.ground, [s.mask for s in listing(base)], args.json)
-    elif args.oracle_command == "mingens":
-        base = formats.read_imp(args.file)
-        target = base.ground.position(args.target)
-        lines = _set_lines(base.ground, [s.mask for s in mingens_brute(base, target)], args.json)
-    elif args.oracle_command == "transversals":
-        h = formats.read_hg(args.file)
-        lines = _set_lines(h.universe, [t.mask for t in transversals_brute(h)], args.json)
-    elif args.oracle_command == "partition":
-        from .sid import MeetFamily, partition_meets
 
-        ground, sets = formats.read_mf(args.file)
-        family = MeetFamily(ground, sets)
-        lines = (
-            f"{ground.labels[j]}: {formats.format_set(m)}"
-            for j, fam in sorted(partition_meets(family).items())
-            for m in fam
-        )
-    elif args.oracle_command in ("gen-ranked", "gen-acyclic"):
-        generate = {"gen-ranked": random_ranked_base, "gen-acyclic": random_acyclic_base}
-        base = generate[args.oracle_command](
-            random.Random(args.seed),
-            max_elements=args.max_elements,
-            max_implications=args.max_implications,
-        )
-        lines = formats.imp_lines(base.ground, base.implications)
-    elif args.oracle_command == "gen-hypergraph":
-        lines = formats.hg_lines(random_hypergraph(random.Random(args.seed)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown oracle subcommand {args.oracle_command!r}")
-    _write_lines(lines)
-    return 0
+def _random_base(generate, args):
+    base = generate(_seeded(args), args.max_elements, args.max_implications)
+    return formats.imp_lines(base.ground, base.implications)
 
 
 # -- parser -------------------------------------------------------------------
@@ -322,24 +308,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help=".imp input")
     p.set_defaults(func=cmd_roundtrip)
 
-    # One parser per oracle command, holding only the options it reads.
+    # One parser per oracle command, holding only the options it reads, and
+    # the function that gives its lines.
     p = sub.add_parser("oracle", help="brute-force references, for debugging")
     oracle = p.add_subparsers(dest="oracle_command", required=True)
-    for name in ("closed-sets", "meets", "joins", "mingens", "transversals", "partition"):
+    listings = {
+        "closed-sets": _listing(lambda o, base, a: (base.ground, o.closed_set_masks(base))),
+        "meets": _listing(lambda o, base, a: (base.ground, _masks(o.meets_brute(base)))),
+        "joins": _listing(lambda o, base, a: (base.ground, _masks(o.joins_brute(base)))),
+        "mingens": _listing(lambda o, base, a: (
+            base.ground, _masks(o.mingens_brute(base, base.ground.position(a.target)))
+        )),
+        "transversals": _listing(
+            lambda o, h, a: (h.universe, _masks(o.transversals_brute(h))), formats.read_hg
+        ),
+    }
+    for name, lines in {**listings, "partition": _partition}.items():
         q = oracle.add_parser(name)
         q.add_argument("file", nargs="?", help="input file")
         if name == "mingens":
             q.add_argument("--target", help="target element label")
-        if name != "partition":
+        if name in listings:
             q.add_argument("--json", action="store_true")
-        q.set_defaults(func=cmd_oracle)
-    for name in ("gen-ranked", "gen-acyclic", "gen-hypergraph"):
+        q.set_defaults(func=cmd_oracle, lines=lines)
+    generators = {
+        "gen-ranked": lambda o, a: _random_base(o.random_ranked_base, a),
+        "gen-acyclic": lambda o, a: _random_base(o.random_acyclic_base, a),
+        "gen-hypergraph": lambda o, a: formats.hg_lines(o.random_hypergraph(_seeded(a))),
+    }
+    for name, lines in generators.items():
         q = oracle.add_parser(name)
         q.add_argument("--seed", type=int, default=0, help="seed for the generator")
         if name != "gen-hypergraph":
             q.add_argument("--max-elements", type=int, default=8)
             q.add_argument("--max-implications", type=int, default=16)
-        q.set_defaults(func=cmd_oracle)
+        q.set_defaults(func=cmd_oracle, lines=lines)
 
     return parser
 
@@ -362,21 +365,15 @@ def main(argv=None) -> int:
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
-    except NotRankedError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        if exc.conflict is not None:
-            print(exc.conflict.describe(), file=sys.stderr)
-        return 2
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
+        if isinstance(exc, NotRankedError) and exc.conflict is not None:
+            print(exc.conflict.describe(), file=sys.stderr)
         return 2
-    except GeodualError as exc:  # pragma: no cover - catch-all for new subtypes
+    except GeodualError as exc:  # InputError, and any subtype added later
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

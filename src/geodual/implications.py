@@ -79,9 +79,7 @@ class ImplicationalBase(Immutable):
     preserved.
     """
 
-    __slots__ = (
-        "ground", "implications", "_rules", "_rules_by_element", "_unconditional"
-    )
+    __slots__ = ("ground", "implications", "_rules", "_rules_by_element")
 
     def __init__(self, ground: GroundSet, implications: Iterable[Implication] = ()):
         kept: list[Implication] = []
@@ -106,11 +104,8 @@ class ImplicationalBase(Immutable):
             )
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "implications", tuple(kept))
-        # (premise mask, conclusion, premise size) per rule, an index from
-        # element position to the rules mentioning it in a premise, and the
-        # conclusions of rules with an empty premise, which no element
-        # mentions (`Implication` rejects them, the closure still honours
-        # them).
+        # (premise mask, conclusion, premise size) per rule, and an index
+        # from element position to the rules mentioning it in a premise.
         rules = tuple(
             (imp.premise.mask, imp.conclusion, len(imp.premise)) for imp in kept
         )
@@ -121,11 +116,6 @@ class ImplicationalBase(Immutable):
         object.__setattr__(self, "_rules", rules)
         object.__setattr__(
             self, "_rules_by_element", tuple(tuple(rs) for rs in by_element)
-        )
-        object.__setattr__(
-            self,
-            "_unconditional",
-            tuple(concl for pmask, concl, _ in rules if not pmask),
         )
 
     @property
@@ -171,10 +161,6 @@ def closure_mask(base: ImplicationalBase, mask: int) -> int:
     by_element = base._rules_by_element
     result = mask
     todo = list(iter_bits(mask))
-    for concl in base._unconditional:
-        if not result >> concl & 1:
-            result |= 1 << concl
-            todo.append(concl)
     # every element of the closure leaves the worklist exactly once and
     # decrements the counters of the rules whose premise holds it; a rule
     # gets its counter, starting from its premise size, at the first one

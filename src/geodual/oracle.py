@@ -32,6 +32,7 @@ from .implications import (
 )
 from .ranking import RankConflict, compute_rank
 from .sets import (
+    MAX_GROUND_SIZE,
     ElementSet,
     GroundSet,
     iter_bits,
@@ -353,6 +354,10 @@ def _labels(n: int) -> GroundSet:
 def _check_generator_bounds(max_elements: int, max_implications: int = 0) -> None:
     if max_elements < 2:
         raise PreconditionError(f"max_elements must be at least 2, got {max_elements}")
+    if max_elements > MAX_GROUND_SIZE:
+        raise PreconditionError(
+            f"max_elements must be at most {MAX_GROUND_SIZE}, got {max_elements}"
+        )
     if max_implications < 0:
         raise PreconditionError(
             f"max_implications must be at least 0, got {max_implications}"

@@ -13,7 +13,15 @@ import pytest
 
 from geodual import ElementSet, GroundSet, critical_base, formats, meet_irreducibles
 from geodual.cli import main
-from geodual.oracle import all_closed_sets, meets_brute, random_ranked_base
+from geodual.hypergraphs import Hypergraph
+from geodual.oracle import (
+    all_closed_sets,
+    joins_brute,
+    meets_brute,
+    mingens_brute,
+    random_ranked_base,
+    transversals_brute,
+)
 from geodual.ranking import compute_rank
 from geodual.sets import MAX_GROUND_SIZE
 from geodual.sid import (
@@ -248,6 +256,27 @@ class TestDualReduce:
         assert lines[0] == "elements: 1 2 z"
         assert sorted(lines[1:]) == ["1", "1 z", "2", "2 z"]
 
+    @pytest.mark.parametrize("option", ["--plus", "--minus", "--meets"])
+    def test_element_list_mismatch_exits_1(self, capsys, data_dir, tmp_path, option):
+        swapped = tmp_path / "swapped.mf"
+        swapped.write_text("elements: 2 1\n1\n2\n")
+        files = {
+            "--plus": data_dir / "bool2_plus.mf",
+            "--minus": data_dir / "bool2_minus.mf",
+            "--meets": data_dir / "bool2_plus.mf",
+            option: swapped,
+        }
+        code, out, err = run(
+            capsys,
+            "reduce",
+            data_dir / "bool2.imp",
+            *(part for pair in files.items() for part in pair),
+            "--out-base", tmp_path / "omega.imp",
+            "--out-meets", tmp_path / "omega.mf",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {swapped}: element list differs from the base (order matters)\n"
+
     def test_unclosed_antichain_exits_1(self, capsys, data_dir, tmp_path):
         bad = tmp_path / "plus.mf"
         bad.write_text("elements: 1 2\n1\n1 2\n")  # comparable members
@@ -408,6 +437,16 @@ class TestOracleCommands:
         assert err.startswith(f"precondition violated: {option} must be at least")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["gen-ranked", "gen-acyclic"])
+    @pytest.mark.parametrize("bound", [MAX_GROUND_SIZE + 1, 100000])
+    def test_generator_bound_above_ground_capacity_exits_2(self, capsys, command, bound):
+        code, out, err = run(capsys, "oracle", command, "--max-elements", bound)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"precondition violated: max_elements must be at most {MAX_GROUND_SIZE}, "
+            f"got {bound}\n"
+        )
+
 
 class TestDeterminism:
     COMMANDS = [
@@ -538,6 +577,8 @@ class TestInputContract:
 # Non-ASCII labels: a ranked base, and a base whose ranks conflict.
 UNICODE_IMP = "elements: é ∅x zß 日本\né -> ∅x\n∅x 日本 -> zß\n"
 UNICODE_CONFLICT = "elements: α β γ δ ε\nδ -> α\nε -> β\nγ -> α\nγ -> β\nδ ε -> γ\n"
+# Labels that JSON output must escape: a quote, a backslash, non-ASCII.
+ESCAPED_IMP = 'elements: a"b c\\d é\nc\\d é -> a"b\n'
 
 
 def _set_line(s):
@@ -558,6 +599,15 @@ def _base_lines(base):
 
 def _ranks(base):
     return dict(zip(base.ground.labels, compute_rank(base).ranks))
+
+
+def _json_sets(sets):
+    return [json.dumps({"set": list(s.labels())}) for s in sets]
+
+
+def _premises(base):
+    """The hypergraph of the premises of `base`, on all its elements."""
+    return Hypergraph(ElementSet.full(base.ground), [rule.premise for rule in base.implications])
 
 
 def _conflict(base):
@@ -600,6 +650,16 @@ STDOUT_CASES = [
         _set_line(s) for s in all_closed_sets(b)]),
     ("oracle closed-sets {imp} --json", 0, lambda b, c, f: [
         json.dumps({"set": list(s.labels())}) for s in all_closed_sets(b)]),
+    ("oracle joins {imp} --json", 0, lambda b, c, f: _json_sets(joins_brute(b))),
+    ("oracle mingens {imp} --target zß --json", 0, lambda b, c, f: _json_sets(
+        mingens_brute(b, b.ground.position("zß")))),
+    ("oracle transversals {hg} --json", 0, lambda b, c, f: _json_sets(
+        transversals_brute(_premises(b)))),
+    ("oracle closed-sets {escaped} --json", 0, lambda b, c, f: _json_sets(
+        all_closed_sets(formats.parse_imp(ESCAPED_IMP)))),
+    ("ccm {escaped} --json", 0, lambda b, c, f: [
+        json.dumps({"element": m.universe.labels[j], "meet": list(m.labels())})
+        for j, m in meet_irreducibles(formats.parse_imp(ESCAPED_IMP))]),
     ("oracle partition {mf}", 0, lambda b, c, f: [
         f"{f.ground.labels[j]}: {_set_line(m)}"
         for j, members in sorted(partition_meets(f).items())
@@ -613,13 +673,17 @@ STDOUT_CASES = [
 @pytest.fixture
 def unicode_inputs(tmp_path):
     """The non-ASCII inputs as files, and the objects they hold."""
-    imp, conflict, mf = (tmp_path / name for name in ("ranked.imp", "conflict.imp", "ranked.mf"))
+    names = ("ranked.imp", "conflict.imp", "ranked.mf", "premises.hg", "escaped.imp")
+    imp, conflict, mf, hg, escaped = (tmp_path / name for name in names)
     imp.write_text(UNICODE_IMP, "utf-8")
     conflict.write_text(UNICODE_CONFLICT, "utf-8")
+    escaped.write_text(ESCAPED_IMP, "utf-8")
     base = formats.read_imp(imp)
     formats.write_mf(base.ground, [m for _, m in meet_irreducibles(base)], mf)
+    hg.write_text(formats.format_hg(_premises(base)), "utf-8")
     objects = base, formats.read_imp(conflict), MeetFamily(*formats.read_mf(mf))
-    return {"imp": imp, "conflict": conflict, "mf": mf}, objects
+    paths = {"imp": imp, "conflict": conflict, "mf": mf, "hg": hg, "escaped": escaped}
+    return paths, objects
 
 
 def _run_cli(argv, encoding):
@@ -704,6 +768,40 @@ def test_cli_writes_stdout_only_through_its_writer():
         any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords)
         for node in prints
     )
+
+
+def test_json_dumps_never_runs_per_line():
+    """JSON lines quote each label once per command: no module calls
+    `json.dumps` inside a loop, a comprehension or a lambda."""
+    repeated = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+                ast.Lambda)
+    found = []
+    for path in sorted((SRC / "geodual").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for loop in ast.walk(tree):
+            if isinstance(loop, repeated):
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(loop)
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps"
+                ]
+    assert found == []
+
+
+def test_oracle_subcommands_are_not_told_apart_by_name():
+    """Each oracle subcommand's parser binds its handler: the subcommand's
+    name is only ever printed, never compared, looked up or inspected."""
+    tree = ast.parse((SRC / "geodual" / "cli.py").read_text())
+    printed = {
+        id(node.value) for node in ast.walk(tree) if isinstance(node, ast.FormattedValue)
+    }
+    used = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "oracle_command"
+        and id(node) not in printed
+    ]
+    assert used == []
 
 
 #: The oracle's exhaustive references and the closed flags they all share,

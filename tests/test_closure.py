@@ -203,33 +203,25 @@ def closure_by_counters(base, mask):
     return result
 
 
-def unit_rule(ground, pmask, concl):
-    """A rule over `ground`, including the empty-premise rules that
-    `Implication` rejects but the closure operator still honours."""
-    if pmask:
-        return Implication(ElementSet(ground, pmask), concl)
-    rule = object.__new__(Implication)
-    object.__setattr__(rule, "premise", ElementSet.empty(ground))
-    object.__setattr__(rule, "conclusion", concl)
-    return rule
-
-
 @st.composite
 def rules_and_masks(draw):
-    """Small and wide ground sets, rules with empty, sparse and dense
-    premises, and dense, sparse and empty input masks."""
+    """Small and wide ground sets, rules with sparse and dense premises
+    (never empty, which `Implication` rejects), and dense, sparse and
+    empty input masks."""
     n = draw(st.one_of(st.integers(1, 12), st.integers(60, 300)))
     g = GroundSet(f"e{i}" for i in range(n))
     full = (1 << n) - 1
     sparse = st.sets(st.integers(0, n - 1), max_size=4).map(
         lambda ps: sum(1 << p for p in ps)
     )
-    premises = st.one_of(st.just(0), sparse, st.integers(0, full))
+    premises = st.one_of(sparse, st.integers(0, full))
     rules = {}
     for _ in range(draw(st.integers(0, 3 * n))):
         concl = draw(st.integers(0, n - 1))
-        rules.setdefault((draw(premises) & ~(1 << concl), concl))
-    base = ImplicationalBase(g, [unit_rule(g, p, c) for p, c in rules])
+        pmask = draw(premises) & ~(1 << concl)
+        if pmask:
+            rules.setdefault((pmask, concl))
+    base = ImplicationalBase(g, [Implication(ElementSet(g, p), c) for p, c in rules])
     masks = draw(st.lists(st.one_of(st.just(0), sparse, st.integers(0, full)), max_size=6))
     return base, masks
 

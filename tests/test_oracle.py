@@ -42,7 +42,7 @@ from geodual.oracle import (
     transversals_brute,
 )
 from geodual.ranking import RankFunction, compute_rank, validate_rank
-from geodual.sets import maximal_masks, sort_key_size_lex
+from geodual.sets import MAX_GROUND_SIZE, maximal_masks, sort_key_size_lex
 
 
 class TestAllClosedSets:
@@ -399,6 +399,27 @@ class TestGenerators:
         with pytest.raises(PreconditionError, match=next(iter(bounds))):
             generate(rng, **bounds)
         assert rng.getstate() == state
+
+    @pytest.mark.parametrize(
+        "generate", [random_ranked_base, random_acyclic_base, random_distributive_base]
+    )
+    @pytest.mark.parametrize("max_elements", [MAX_GROUND_SIZE + 1, 100000])
+    def test_bounds_above_ground_capacity_rejected_before_any_draw(self, generate, max_elements):
+        # No ground set above the capacity can be built, so such a bound
+        # fails or not depending on the draw unless it is refused up front.
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(PreconditionError, match=f"at most {MAX_GROUND_SIZE}, got"):
+            generate(rng, max_elements=max_elements)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize(
+        "generate", [random_ranked_base, random_acyclic_base, random_distributive_base]
+    )
+    def test_largest_bound_accepted(self, generate):
+        for seed in range(4):
+            base = generate(random.Random(seed), max_elements=MAX_GROUND_SIZE)
+            assert 2 <= base.ground.size <= MAX_GROUND_SIZE
 
     @pytest.mark.parametrize(
         "generate", [random_ranked_base, random_acyclic_base, random_distributive_base]
