@@ -10,7 +10,9 @@ and flushed line by line; a label that encoding cannot hold ends the
 command with exit code 1 and one line on stderr.  A reader that closes
 the output early (``geodual ccm big.imp | head -1``) ends the command
 quietly, with exit code 1 and nothing on stderr; a command started with
-stdout closed exits 1 with one line on stderr.  JSON lines are the bytes
+stdout closed exits 1 with one line on stderr.  A warning, such as a
+repeated rule or member set that was dropped, is one ``warning: ...``
+line on stderr.  JSON lines are the bytes
 `json.dumps` writes, with each label quoted once per command.
 
 Each command imports the modules it runs when it runs, so that a command
@@ -23,6 +25,7 @@ import argparse
 import errno
 import os
 import sys
+import warnings
 
 from . import formats
 from .errors import (
@@ -347,11 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except BrokenPipeError:
         # The reader is gone.  Point stdout at devnull so that the flush of
         # what is still buffered, at interpreter exit, cannot raise again.

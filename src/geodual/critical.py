@@ -2,20 +2,18 @@
 
 Every acyclic standard closure space has a unique irredundant base made
 of minimal generators, and that base has minimum size among unit bases.
-It is computed here by scanning, inside every input premise, all minimal
-generators of the rule's conclusion, and keeping the ones that no other
-generator can replace.  The scan is exponential only in the input
-dimension, which is what desk-scale and bounded-dimension bases need;
-a premise above 20 elements is refused by a size guard.
+It is computed here by shrinking every input premise to one minimal
+generator of the rule's conclusion and keeping the ones that no other
+generator can replace.  The closures this takes per rule grow linearly
+with its premise, so premises of any width are accepted.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
 from typing import Callable
 
-from .errors import PreconditionError, size_guard
+from .errors import PreconditionError
 from .implications import (
     Implication,
     ImplicationalBase,
@@ -24,9 +22,6 @@ from .implications import (
 )
 from .ranking import RankFunction, compute_rank
 from .sets import ElementSet, Record, iter_bits, sort_key_lex
-
-#: The widest premise whose subsets `critical_base` scans.
-PREMISE_GUARD = 20
 
 
 class MinimalGenerator(Record):
@@ -79,46 +74,35 @@ def is_redundant(base: ImplicationalBase, gen: MinimalGenerator) -> bool:
     return _is_redundant_mask(close, amask, gen.target)
 
 
-def _mingens_within(base: ImplicationalBase, region_mask: int, target: int) -> list[int]:
-    """All minimal generators of `target` contained in `region_mask`.
-
-    Subsets are scanned in increasing size; supersets of found generators
-    are skipped, which is sound because implication is monotone.
-    """
-    tbit = 1 << target
-    positions = tuple(iter_bits(region_mask & ~tbit))
-    found: list[int] = []
-    for size in range(1, len(positions) + 1):
-        for combo in combinations(positions, size):
-            amask = 0
-            for pos in combo:
-                amask |= 1 << pos
-            if any(g & amask == g for g in found):
-                continue
-            if closure_mask(base, amask) & tbit:
-                found.append(amask)
-    return found
-
-
 def critical_base(base: ImplicationalBase) -> ImplicationalBase:
     """The unique irredundant base of minimal generators equivalent to `base`.
 
-    Every critical generator of a conclusion is contained in some input
-    premise for that conclusion, so scanning inside the input premises is
-    complete.  Output is ordered by conclusion position, then by premise.
+    Each input rule Q -> b is shrunk to one minimal generator of b inside
+    Q, dropping the elements of Q in ascending position whenever b stays
+    in the closure, and that generator is kept unless it is redundant.
+    Output is ordered by conclusion position, then by premise.
+
+    The kept premises are every critical (minimal, not redundant)
+    generator G of every b.  S = cl(G) - b holds G but not b, so S is not
+    closed, and some rule fires in S; its conclusion lies in cl(G) but
+    not in S, so it is a rule Q -> b with Q in S.  Each a in G lies in Q,
+    or else b would be in cl(cl(G) - a - b) and G redundant; so G is in
+    Q.  Any other minimal generator of b in Q misses some a in G, which
+    makes G redundant the same way; so the shrinking of Q returns exactly
+    G.  The argument does not use acyclicity.
     """
     _require_acyclic(base)
-    size_guard(base.dimension, PREMISE_GUARD, "premise")
     ground = base.ground
     close = partial(closure_mask, base)
     kept: set[tuple[int, int]] = set()
     for imp in base.implications:
-        target = imp.conclusion
-        for amask in _mingens_within(base, imp.premise.mask, target):
-            if (amask, target) in kept:
-                continue
-            if not _is_redundant_mask(close, amask, target):
-                kept.add((amask, target))
+        target, amask = imp.conclusion, imp.premise.mask
+        tbit = 1 << target
+        for x in iter_bits(amask):
+            if close(amask & ~(1 << x)) & tbit:
+                amask &= ~(1 << x)
+        if (amask, target) not in kept and not _is_redundant_mask(close, amask, target):
+            kept.add((amask, target))
     implications = [
         Implication(ElementSet(ground, amask), target)
         for amask, target in sorted(kept, key=lambda k: (k[1], sort_key_lex(k[0])))

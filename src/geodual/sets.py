@@ -88,7 +88,7 @@ class GroundSet(Immutable):
                 raise InputError(f"label at position {pos} is not a nonempty string")
             if label != "".join(label.split()):
                 raise InputError(f"label {label!r} contains whitespace")
-            if label in ("->", ".") or label.startswith("#"):
+            if label in ("->", ".") or "#" in label:
                 raise InputError(f"label {label!r} clashes with file-format syntax")
             if label in index:
                 raise InputError(f"duplicate label {label!r}")

@@ -39,8 +39,9 @@ def layered_base(levels, width, rules_per, premise_size, seed):
     )
 
 
-def equivalent_perturbation(rng, base):
-    """Reorder `base` and pad it with entailed superset-premise implications."""
+def _levels(base):
+    """A level per element such that every arc of the implication graph,
+    premise element to conclusion, runs from a higher level to a lower one."""
     arcs = set(implication_graph(base))
     order = {}
     remaining = set(range(base.ground.size))
@@ -55,21 +56,44 @@ def equivalent_perturbation(rng, base):
             order[v] = rank
         remaining -= sinks
         rank += 1
+    return order
+
+
+def _above(order, imp):
+    """The elements that can pad the premise of `imp` without closing a
+    cycle: those strictly above its conclusion, outside the premise."""
+    return [
+        x
+        for x in range(len(order))
+        if order[x] > order[imp.conclusion] and x not in imp.premise
+    ]
+
+
+def equivalent_perturbation(rng, base):
+    """Reorder `base` and pad it with entailed superset-premise implications."""
+    order = _levels(base)
     imps = list(base.implications)
     for imp in list(imps):
-        # arcs run from higher to lower order, so padding a premise with a
-        # strictly higher element can never close a cycle
-        candidates = [
-            x
-            for x in range(base.ground.size)
-            if order[x] > order[imp.conclusion]
-            and x not in imp.premise
-            and x != imp.conclusion
-        ]
+        candidates = _above(order, imp)
         if candidates and rng.random() < 0.7:
             extra = rng.choice(candidates)
             imps.append(Implication(imp.premise.with_element(extra), imp.conclusion))
     rng.shuffle(imps)
+    return ImplicationalBase(base.ground, dict.fromkeys(imps))
+
+
+def with_wide_premises(rng, base):
+    """`base` plus, for each rule, an entailed rule whose premise is the
+    rule's premise padded with a random subset of the elements above its
+    conclusion, so one premise can hold several minimal generators."""
+    order = _levels(base)
+    imps = list(base.implications)
+    for imp in base.implications:
+        candidates = _above(order, imp)
+        if candidates:
+            pad = rng.sample(candidates, rng.randint(1, len(candidates)))
+            premise = ElementSet(base.ground, imp.premise.mask | sum(1 << x for x in pad))
+            imps.append(Implication(premise, imp.conclusion))
     return ImplicationalBase(base.ground, dict.fromkeys(imps))
 
 

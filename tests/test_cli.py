@@ -11,7 +11,15 @@ from pathlib import Path
 import pytest
 
 
-from geodual import ElementSet, GroundSet, critical_base, formats, meet_irreducibles
+from conftest import DATA
+from geodual import (
+    ElementSet,
+    GroundSet,
+    critical_base,
+    formats,
+    is_ranked_geometry,
+    meet_irreducibles,
+)
 from geodual.cli import main
 from geodual.hypergraphs import Hypergraph
 from geodual.oracle import (
@@ -858,19 +866,58 @@ def test_closed_stdout_exits_1(data_dir, command, err):
     assert (proc.returncode, proc.stderr.decode()) == (1, err + "\n")
 
 
-@pytest.mark.parametrize("command", ["critical-base", "roundtrip"])
-def test_wide_premise_guarded(capsys, tmp_path, command):
-    # The critical base scans every subset of each premise: one of 21
-    # elements is refused before any scan.
-    path = tmp_path / "wide.imp"
-    labels = [f"a{i}" for i in range(22)]
-    path.write_text(f"elements: {' '.join(labels)}\n{' '.join(labels[:21])} -> a21\n")
-    code, out, err = run(capsys, command, path)
-    assert (code, out) == (2, "")
-    assert err == (
-        "precondition violated: premise of size 21 exceeds the brute-force guard "
-        "of 20; set GEODUAL_GUARD_OVERRIDE=1 to override\n"
+WARNING_CASES = {
+    "sid": (
+        {"in.mf": (DATA / "layered.mf").read_text() + "1 2 4\n"},
+        "sid in.mf",
+        "dropped 1 duplicate member set(s)",
+    ),
+    "ccm": (
+        {"in.imp": (DATA / "layered.imp").read_text() + "3 -> 5\n"},
+        "ccm in.imp",
+        "dropped 1 duplicate implication(s)",
+    ),
+    "reduce": (
+        {
+            "in.imp": "elements: z a\n",
+            "plus.mf": "elements: z a\nz\na\n",
+            "minus.mf": "elements: z a\nz a\n",
+        },
+        "reduce in.imp --plus plus.mf --minus minus.mf --out-base o.imp --out-meets o.mf",
+        "label 'z' already taken; using 'z1' for the fresh element",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WARNING_CASES))
+def test_warning_is_one_stderr_line(tmp_path, case):
+    # A warning reads `warning: <message>`, with no source path or code line.
+    files, command, message = WARNING_CASES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "geodual.cli", *command.split()],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
+    assert (proc.returncode, proc.stderr) == (0, f"warning: {message}\n")
+    assert proc.stdout
+
+
+def test_wide_premise_accepted(capsys, tmp_path):
+    # The critical base shrinks each premise rather than scanning its
+    # subsets, so a 200-element premise is one more rule to reduce.
+    path = tmp_path / "wide.imp"
+    labels = [f"a{i}" for i in range(201)]
+    elements = f"elements: {' '.join(labels)}"
+    path.write_text(f"{elements}\n{' '.join(labels[:200])} -> a200\na3 a7 -> a200\n")
+    assert run(capsys, "critical-base", path) == (0, f"{elements}\na3 a7 -> a200\n", "")
+    assert run(capsys, "roundtrip", path) == (
+        0, "roundtrip ok: 202 meets, 1 implications\n", ""
+    )
+    assert is_ranked_geometry(formats.read_imp(path))
 
 
 # The modules that `ccm` and `sid` run through: no definitional reference
@@ -900,6 +947,28 @@ def test_translation_path_imports_no_oracle_or_numpy():
         ]
         if banned:
             offenders[module] = banned
+    assert offenders == {}
+
+
+def test_translation_path_scans_no_subsets():
+    # A subset scan needs a size guard; the translation path has neither.
+    # `errors` defines `size_guard` for the oracle.
+    offenders = {}
+    for module in TRANSLATION_MODULES:
+        if module == "errors":
+            continue
+        tree = ast.parse((SRC / "geodual" / f"{module}.py").read_text())
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [a.name for a in node.names if a.name.endswith("combinations")]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "size_guard":
+                    found.append("size_guard()")
+        if found:
+            offenders[module] = found
     assert offenders == {}
 
 

@@ -5,15 +5,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import equivalent_perturbation, make_base, positions, sets_of, widest_ground
+from conftest import (
+    equivalent_perturbation,
+    make_base,
+    positions,
+    sets_of,
+    widest_ground,
+    with_wide_premises,
+)
 from geodual import (
     ElementSet,
     Implication,
     ImplicationalBase,
     MinimalGenerator,
     PreconditionError,
-    SizeGuardError,
-    critical,
     critical_base,
     equivalent,
     is_ranked_geometry,
@@ -105,24 +110,6 @@ def test_critical_base_ordered_by_conclusion_then_position_tuple(base):
     assert keys == sorted(keys)
 
 
-class TestPremiseGuard:
-    def wide(self, k):
-        labels = [f"a{i}" for i in range(k + 1)]
-        return make_base(" ".join(labels), [(" ".join(labels[:k]), labels[k])])
-
-    @pytest.mark.parametrize("check", [critical_base, is_ranked_geometry])
-    def test_premise_above_twenty_refused(self, check):
-        with pytest.raises(SizeGuardError, match="premise of size 21 exceeds"):
-            check(self.wide(21))
-
-    def test_override_lifts_the_guard(self, monkeypatch):
-        monkeypatch.setattr(critical, "PREMISE_GUARD", 3)
-        with pytest.raises(SizeGuardError):
-            critical_base(self.wide(4))
-        monkeypatch.setenv("GEODUAL_GUARD_OVERRIDE", "1")
-        assert critical_base(self.wide(4)) == self.wide(4)
-
-
 class TestIsRankedGeometry:
     def test_crossed_not_ranked(self, crossed):
         assert not is_ranked_geometry(crossed)
@@ -141,27 +128,33 @@ class TestIsRankedGeometry:
 
 class TestCriticalBaseProperties:
     def test_random_acyclic_suite(self):
-        rng = random.Random(17)
+        # Each base is checked as drawn and with extra rules whose wide
+        # premises can each hold several minimal generators.
+        rng, pad_rng = random.Random(17), random.Random(19)
         for _ in range(40):
-            base = random_acyclic_base(rng, max_elements=7, max_implications=10)
-            crit = critical_base(base)
-            assert equivalent(crit, base)
-            for dropped in range(len(crit.implications)):
-                remaining = ImplicationalBase(
-                    crit.ground,
-                    crit.implications[:dropped] + crit.implications[dropped + 1 :],
-                )
-                assert not equivalent(remaining, crit), "irredundant"
-            for imp in crit.implications:
-                gens = mingens_brute(base, imp.conclusion)
-                assert imp.premise in gens, "every kept premise is a minimal generator"
-                assert not is_redundant(
-                    base, MinimalGenerator(imp.premise, imp.conclusion)
-                )
-                assert any(
-                    imp.conclusion == other.conclusion and imp.premise <= other.premise
-                    for other in base.implications
-                ), "every kept premise sits inside an input premise"
+            drawn = random_acyclic_base(rng, max_elements=7, max_implications=10)
+            for base in (drawn, with_wide_premises(pad_rng, drawn)):
+                crit = critical_base(base)
+                assert equivalent(crit, base)
+                for dropped in range(len(crit.implications)):
+                    remaining = ImplicationalBase(
+                        crit.ground,
+                        crit.implications[:dropped] + crit.implications[dropped + 1 :],
+                    )
+                    assert not equivalent(remaining, crit), "irredundant"
+                for target in range(base.ground.size):
+                    kept = {i.premise for i in crit.implications if i.conclusion == target}
+                    critical_gens = {
+                        g
+                        for g in mingens_brute(base, target)
+                        if not is_redundant(base, MinimalGenerator(g, target))
+                    }
+                    assert kept == critical_gens, "the kept premises are the critical generators"
+                for imp in crit.implications:
+                    assert any(
+                        imp.conclusion == other.conclusion and imp.premise <= other.premise
+                        for other in base.implications
+                    ), "every kept premise sits inside an input premise"
 
     def test_unique_across_equivalent_presentations(self):
         rng = random.Random(18)

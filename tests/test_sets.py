@@ -34,6 +34,13 @@ class TestGroundSet:
         with pytest.raises(InputError):
             GroundSet(["a b"])
 
+    @pytest.mark.parametrize("label", ["->", ".", "#a", "a#b", "a#"])
+    def test_file_format_syntax_rejected(self, label):
+        # `#` starts a comment anywhere on a line, so no label may hold one:
+        # `a#b -> c` would read as `a` and fail to parse.
+        with pytest.raises(InputError, match="clashes with file-format syntax"):
+            GroundSet(["c", label])
+
     def test_capacity_enforced(self):
         GroundSet(str(i) for i in range(MAX_GROUND_SIZE))
         with pytest.raises(InputError):
