@@ -125,8 +125,9 @@ def maximal_avoiding_sets(
     if c.mask & b.members.mask:
         raise PreconditionError("the accumulated region must avoid the target set")
     streams = MeetsAvoiding(base, rho)
-    for mask in streams._recurse(b.members.mask, b.rank, c.mask):
-        yield ElementSet(base.ground, mask)
+    for block in streams._recurse(b.members.mask, b.rank, c.mask):
+        for mask in block:
+            yield ElementSet(base.ground, mask)
 
 
 def ranked(base: ImplicationalBase) -> RankFunction:
@@ -145,8 +146,10 @@ class MeetsAvoiding:
     """The meets of one ranked base, element by element.
 
     Called with an element j, it streams the masks of the maximal closed
-    sets avoiding j; `rho` must be a valid rank function of `base`, such
-    as the one :func:`ranked` returns.  The branches of a recursion node
+    sets avoiding j in blocks: one nonempty list per recursion node whose
+    children are leaves, or ``[mask]`` alone when j has the top rank.
+    `rho` must be a valid rank function of `base`, such as the one
+    :func:`ranked` returns.  The branches of a recursion node
     depend only on the avoided set B and its rank, not on the region
     gathered so far, and the same (B, rank) comes up again across
     branches and elements: each instance dualizes its level hypergraph
@@ -157,8 +160,10 @@ class MeetsAvoiding:
     than in nested generators: a node pushes its children in reverse
     branch order, so they are popped, and their meets streamed, in the
     order of the recursion, and a node one rank below the top yields
-    its leaves' regions directly.  A meet then costs a pop, not a resume
-    of every generator on its path.
+    its leaves' regions as one list.  A meet then costs a pop, not a
+    resume of every generator on its path, and a block is complete before
+    the walk does any more work, so a caller that writes each block as it
+    comes keeps the stream as prompt as one write per meet would.
     """
 
     def __init__(
@@ -175,13 +180,14 @@ class MeetsAvoiding:
         self._by_conclusion = _premises_by_conclusion(base)
         self._branches: dict[tuple[int, int], list[int]] = {}
 
-    def __call__(self, j: int) -> Iterator[int]:
+    def __call__(self, j: int) -> Iterator[list[int]]:
         rank, bit = self.rho.ranks[j], 1 << j
         return self._recurse(bit, rank, self._prefixes[rank] & ~bit)
 
-    def _recurse(self, bmask: int, rank: int, cmask: int) -> Iterator[int]:
+    def _recurse(self, bmask: int, rank: int, cmask: int) -> Iterator[list[int]]:
         """Maximal closed supersets of `cmask` avoiding `bmask`, whose
-        members all have rank `rank`, ranks above it still open."""
+        members all have rank `rank`, ranks above it still open: one block
+        per node whose children are leaves, and ``[cmask]`` at the top rank."""
         prefixes, memo = self._prefixes, self._branches
         top = len(prefixes) - 1
         # Nodes (B, rank, C) still to visit, the next one last.
@@ -190,7 +196,7 @@ class MeetsAvoiding:
         while stack:
             bmask, rank, cmask = pop()
             if rank >= top:
-                yield cmask
+                yield [cmask]
                 continue
             up = prefixes[rank + 1] & ~prefixes[rank]
             # Keyed by the rank too: an empty B occurs at any rank.
@@ -201,9 +207,9 @@ class MeetsAvoiding:
                 memo[bmask, rank] = branches
             rank += 1
             if rank == top:
-                # The children are leaves: yield their regions in order.
-                for s in branches:
-                    yield cmask | s
+                # The children are leaves: their regions are one block.
+                if branches:
+                    yield [cmask | s for s in branches]
             else:
                 push([(up & ~s, rank, cmask | s) for s in reversed(branches)])
 
@@ -222,5 +228,6 @@ def meet_irreducibles(
     streams = MeetsAvoiding(base, ranked(base), backend)
     u = base.ground
     for j in range(u.size):
-        for mask in streams(j):
-            yield j, ElementSet(u, mask)
+        for block in streams(j):
+            for mask in block:
+                yield j, ElementSet(u, mask)

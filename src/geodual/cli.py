@@ -5,12 +5,14 @@ that is missing, unreadable, a directory or not UTF-8), 2 semantic
 precondition violated (unranked base, cyclic base, bad meet family, size
 guard), 3 verification failure.  Enumeration commands stream one result
 per line as it is produced; labels, never positions, appear in output.
-Every command writes its lines through one writer, in stdout's encoding
-and flushed line by line; a label that encoding cannot hold ends the
-command with exit code 1 and one line on stderr.  A reader that closes
-the output early (``geodual ccm big.imp | head -1``) ends the command
-quietly, with exit code 1 and nothing on stderr; a command started with
-stdout closed exits 1 with one line on stderr.  A warning, such as a
+Every command writes its output through one writer, in stdout's encoding,
+one block of lines at a time, each flushed as soon as it is complete (a
+block is one line, or for `ccm` the meets of one recursion node); a label
+that encoding cannot hold ends the command with exit code 1 and one line
+on stderr, after the lines before it.  A reader that closes the output
+early (``geodual ccm big.imp | head -1``) ends the command quietly, with
+exit code 1 and nothing on stderr; a command started with stdout closed
+exits 1 with one line on stderr.  A warning, such as a
 repeated rule or member set that was dropped, is one ``warning: ...``
 line on stderr.  JSON lines are the bytes
 `json.dumps` writes, with each label quoted once per command.
@@ -38,12 +40,16 @@ from .errors import (
 from .sets import ElementSet, GroundSet
 
 
-def _write_lines(lines) -> None:
-    """Write each line to stdout in its encoding, with one flush per line.
+def _write_lines(items) -> None:
+    """Write each item, a block of one or more lines joined by ``"\\n"``,
+    to stdout in its encoding, with one flush per item.
 
-    This is the only writer to stdout: each line is encoded once and goes
-    to the byte stream under the text layer as one write and one flush.
-    A closed stdout, which Python leaves as ``None``, is an error.
+    This is the only writer to stdout: each item is encoded once and goes
+    to the byte stream under the text layer as one write and one flush, so
+    it is out before the next item is asked for.  An item that the encoding
+    cannot hold has its lines before the bad character written, then the
+    error goes on.  A closed stdout, which Python leaves as ``None``, is an
+    error.
     """
     stdout = sys.stdout
     if stdout is None:
@@ -51,8 +57,15 @@ def _write_lines(lines) -> None:
     stdout.flush()
     encoding, errors = stdout.encoding, stdout.errors
     write, flush = stdout.buffer.write, stdout.buffer.flush
-    for line in lines:
-        write(f"{line}\n".encode(encoding, errors))
+    for item in items:
+        try:
+            data = f"{item}\n".encode(encoding, errors)
+        except UnicodeEncodeError as exc:
+            whole = exc.object[: exc.object.rfind("\n", 0, exc.start) + 1]
+            write(whole.encode(encoding, errors))
+            flush()
+            raise
+        write(data)
         flush()
 
 
@@ -77,15 +90,21 @@ def cmd_ccm(args) -> int:
     ground = base.ground
     meets_avoiding = MeetsAvoiding(base, ranked(base))
     elements, labels = range(ground.size), ground.labels
+    # One item per block of meets: its lines are formatted, encoded, written
+    # and flushed together, as soon as the walk has them.
     if args.json:
         items = _json_items(ground)
         heads = [f'{{"element": {items(1 << j)}, "meet": [' for j in elements]
-        _write_lines(f"{heads[j]}{items(mask)}]}}" for j in elements for mask in meets_avoiding(j))
+        _write_lines(
+            "\n".join([f"{head}{items(mask)}]}}" for mask in block])
+            for j, head in enumerate(heads) for block in meets_avoiding(j)
+        )
         return 0
     prefixes = [f"{label}: " for label in labels] if args.by_element else [""] * ground.size
     join, empty = ground.join_labels, formats.EMPTY_SET_TOKEN
     _write_lines(
-        f"{prefixes[j]}{join(mask) or empty}" for j in elements for mask in meets_avoiding(j)
+        "\n".join([f"{prefix}{join(mask) or empty}" for mask in block])
+        for j, prefix in enumerate(prefixes) for block in meets_avoiding(j)
     )
     return 0
 

@@ -303,10 +303,13 @@ def test_memoized_recursion_matches_definition(seed):
 
 def recursive_walk(streams, bmask, rank, cmask):
     """The walk of `MeetsAvoiding` written as nested generators, one per
-    node, with the instance's memo: the reference for its explicit stack."""
+    node, with the instance's memo: the reference for its explicit stack.
+    It yields one list per node whose children are leaves, their regions
+    in branch order (empty for a node with no branches), and ``[cmask]``
+    for a node at the top rank, which has no children."""
     prefixes = streams._prefixes
     if rank + 1 >= len(prefixes):
-        yield cmask
+        yield [cmask]
         return
     up = prefixes[rank + 1] & ~prefixes[rank]
     branches = streams._branches.get((bmask, rank))
@@ -314,18 +317,29 @@ def recursive_walk(streams, bmask, rank, cmask):
         premises = _premises(streams._by_conclusion, bmask)
         branches = independent_masks(up, premises, streams.backend)
         streams._branches[bmask, rank] = branches
+    if rank + 2 >= len(prefixes):
+        yield [cmask | s for s in branches]
+        return
     for s in branches:
         yield from recursive_walk(streams, up & ~s, rank + 1, cmask | s)
 
 
-def assert_walks_agree(base):
+def flat(blocks):
+    return [mask for block in blocks for mask in block]
+
+
+def assert_walks_agree(base, backend=None):
     rho = compute_rank(base)
-    streams, reference = MeetsAvoiding(base, rho), MeetsAvoiding(base, rho)
+    streams = MeetsAvoiding(base, rho, backend)
+    reference = MeetsAvoiding(base, rho, backend)
     prefixes = reference._prefixes
     for j in range(base.ground.size):
         rank, bit = rho.ranks[j], 1 << j
-        expected = list(recursive_walk(reference, bit, rank, prefixes[rank] & ~bit))
-        assert list(streams(j)) == expected, j
+        nodes = list(recursive_walk(reference, bit, rank, prefixes[rank] & ~bit))
+        blocks = list(streams(j))
+        assert flat(blocks) == flat(nodes), j
+        # Each block is nonempty and holds the leaves of one node.
+        assert all(blocks) and blocks == [leaves for leaves in nodes if leaves], j
     assert streams._branches == reference._branches
 
 
@@ -355,4 +369,20 @@ def test_stack_walk_matches_recursion_on_random_bases(seed):
         base, rho, RankedSet(members, rank), ElementSet(base.ground, region)
     )
     expected = recursive_walk(MeetsAvoiding(base, rho), members.mask, rank, region)
-    assert [m.mask for m in got] == list(expected)
+    assert [m.mask for m in got] == flat(expected)
+
+
+class NoTransversals:
+    def transversal_masks(self, edges):
+        return []
+
+
+@pytest.mark.parametrize("name", ["rung.imp", "layered.imp"])
+def test_node_without_branches_yields_no_block(name):
+    # With no branch anywhere, only an element of the top rank has meets.
+    base = formats.read_imp(DATA / name)
+    assert_walks_agree(base, NoTransversals())
+    rho = compute_rank(base)
+    streams = MeetsAvoiding(base, rho, NoTransversals())
+    top = [j for j, r in enumerate(rho.ranks) if r == rho.max_rank]
+    assert [j for j in range(base.ground.size) if list(streams(j))] == top

@@ -7,11 +7,12 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 
-from conftest import DATA
+from conftest import DATA, layered_base
 from geodual import (
     ElementSet,
     GroundSet,
@@ -20,6 +21,7 @@ from geodual import (
     is_ranked_geometry,
     meet_irreducibles,
 )
+from geodual.ccm import MeetsAvoiding
 from geodual.cli import main
 from geodual.hypergraphs import Hypergraph
 from geodual.oracle import (
@@ -93,6 +95,7 @@ class TestCcm:
             ("rung.imp", "utf-8"),
             ("unicode.imp", "utf-8"),
             ("unicode.imp", "ascii:backslashreplace"),
+            ("L6w8.imp", "utf-8"),
         ],
     )
     def test_stdout_bytes(self, data_dir, tmp_path, name, option, encoding):
@@ -100,6 +103,11 @@ class TestCcm:
         if name == "unicode.imp":
             path = tmp_path / name
             path.write_text("elements: é ∅x zß 日本\né -> ∅x\n∅x 日本 -> zß\n", "utf-8")
+        elif name == "L6w8.imp":
+            # The ccm-deep shape of the benchmark: about 60 000 meets, written
+            # in blocks of up to a dozen lines.
+            path = tmp_path / name
+            formats.write_imp(layered_base(6, 8, 3, 2, seed=0), path)
         base = formats.read_imp(path)
         labels = base.ground.labels
         lines = []
@@ -729,6 +737,75 @@ def test_unencodable_labels_exit_1(unicode_inputs, command):
     assert err.startswith("error: stdout cannot encode '") and err.endswith("' in ascii\n")
     assert len(err.splitlines()) == 1
     proc.stdout.decode("ascii")  # only whole lines that ASCII holds
+
+
+# `x` avoids the maximal independent sets of its premises, one block of
+# three lines: "a c", "b c", then "é".
+BLOCK_IMP = "elements: x a b c é\na é -> x\nb é -> x\nc é -> x\na b -> x\n"
+
+
+@pytest.mark.parametrize("prefix", ["", "x: "], ids=["plain", "by-element"])
+def test_unencodable_line_keeps_the_lines_before_it(tmp_path, prefix):
+    path = tmp_path / "block.imp"
+    path.write_text(BLOCK_IMP, "utf-8")
+    base = formats.read_imp(path)
+    lines = [prefix + " ".join(m.labels()) for j, m in meet_irreducibles(base) if j == 0]
+    assert lines == [prefix + "a c", prefix + "b c", prefix + "é"]
+    assert [len(block) for block in MeetsAvoiding(base, compute_rank(base))(0)] == [3]
+    proc = _run_cli(["ccm", path, *(["--by-element"] if prefix else [])], "ascii")
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: stdout cannot encode '\\xe9' in ascii\n"
+    assert proc.stdout == f"{lines[0]}\n{lines[1]}\n".encode("ascii")
+
+
+@pytest.mark.parametrize("option", [None, "--by-element", "--json"])
+@pytest.mark.parametrize("name", ["rung.imp", "layered.imp", "chain.imp"])
+def test_ccm_flushes_each_block_before_the_walk_goes_on(monkeypatch, data_dir, name, option):
+    """One write and one flush per nonempty block, in walk order, each done
+    before the walk is asked for its next block, and no blank line."""
+    path = data_dir / name
+    base = formats.read_imp(path)
+    labels = base.ground.labels
+
+    def line(j, mask):
+        meet = ElementSet(base.ground, mask)
+        if option == "--json":
+            return json.dumps({"element": labels[j], "meet": list(meet.labels())})
+        return (f"{labels[j]}: " if option else "") + (" ".join(meet.labels()) or ".")
+
+    # Each request for a block, then the block's write and flush.
+    streams = MeetsAvoiding(base, compute_rank(base))
+    expected = []
+    for j in range(base.ground.size):
+        for block in streams(j):
+            assert block
+            text = "".join(line(j, mask) + "\n" for mask in block)
+            expected += [("next", j), ("write", text.encode()), ("flush",)]
+        expected.append(("next", j))
+
+    log = []
+    call = MeetsAvoiding.__call__
+
+    def recording_call(self, j):
+        walk = call(self, j)
+        while True:
+            log.append(("next", j))
+            block = next(walk, None)
+            if block is None:
+                return
+            yield block
+
+    monkeypatch.setattr(MeetsAvoiding, "__call__", recording_call)
+    # A text stdout whose byte stream records each write and flush.
+    buffer = SimpleNamespace(
+        write=lambda data: log.append(("write", data)), flush=lambda: log.append(("flush",))
+    )
+    stdout = SimpleNamespace(encoding="utf-8", errors="strict", flush=lambda: None, buffer=buffer)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["ccm", str(path), *([option] if option else [])]) == 0
+    assert log == expected
+    writes = [entry[1] for entry in log if entry[0] == "write"]
+    assert all(not data.startswith(b"\n") and b"\n\n" not in data for data in writes)
 
 
 def test_cli_imports_no_private_names():
