@@ -2,8 +2,9 @@
 
 Dualization sits behind a small backend interface so the sequential Berge
 baseline can later be swapped for an asymptotically better algorithm
-without touching any caller.  The baseline materializes intermediate
-families, so streams are lazy but not delay-bounded.
+without touching any caller, which hands it the edges as they are.  The
+baseline materializes intermediate families, so streams are lazy but not
+delay-bounded.
 
 Berge's absorption test is chosen per edge.  When the members missing the
 edge times the members meeting it in one vertex make few pairs, each pair
@@ -25,6 +26,7 @@ from .sets import (
     minimal_masks,
     same_universe,
     sort_key_lex,
+    sort_key_size_lex,
 )
 
 
@@ -32,8 +34,8 @@ class Hypergraph(Immutable):
     """A vertex set together with a family of edges over one ground set.
 
     The raw edge list is preserved exactly as given (construction sites
-    quote premises verbatim); the absorption-reduced, duplicate-free view
-    used by transversal computations is derived on demand.
+    quote premises verbatim); the inclusion-minimal, duplicate-free view
+    is derived on demand.
     """
 
     __slots__ = ("vertices", "edges")
@@ -55,13 +57,10 @@ class Hypergraph(Immutable):
     def dimension(self) -> int:
         return max((len(e) for e in self.edges), default=0)
 
-    def reduced_edge_masks(self) -> tuple[int, ...]:
-        """Inclusion-minimal, duplicate-free edges, canonically ordered."""
-        return tuple(minimal_masks(e.mask for e in self.edges))
-
     def reduced_edges(self) -> tuple[ElementSet, ...]:
+        """Inclusion-minimal, duplicate-free edges, canonically ordered."""
         u = self.universe
-        return tuple(ElementSet(u, m) for m in self.reduced_edge_masks())
+        return tuple(ElementSet(u, m) for m in minimal_masks(e.mask for e in self.edges))
 
     def __eq__(self, other) -> bool:
         return (
@@ -80,8 +79,9 @@ class Hypergraph(Immutable):
 class DualizationBackend(Protocol):
     """Interface for minimal-transversal engines.
 
-    Implementations receive the absorption-reduced edge masks and return
-    the masks of all minimal transversals, in any order.
+    Implementations receive the caller's edge masks as a list, unreduced
+    (repeated, nested or empty edges included), and return the masks of
+    all minimal transversals, in any order.
     """
 
     def transversal_masks(self, edges: Sequence[int]) -> Iterable[int]:
@@ -95,12 +95,13 @@ class BergeBackend:
     missing e grows to ``t | 1<<v`` for every v in e unless some member h
     meets e in v alone with ``h - {v}`` inside t: that is the only way
     the new set can be absorbed, so the family is never re-minimized.
-    Edges may be raw (repeated, nested or empty).
+    The distinct edges go by size, then lexicographically, so an edge comes
+    after its subsets, when every member already meets it.
     """
 
     def transversal_masks(self, edges: Sequence[int]) -> list[int]:
         family: list[int] = [0]
-        for edge in edges:
+        for edge in sorted(set(edges), key=sort_key_size_lex):
             if edge == 0:
                 return []
             kept, missing, guards = [], [], []
@@ -132,10 +133,11 @@ class BergeBackend:
 
 #: Above this many (missing member, guard) pairs an edge's absorption test
 #: runs from the index of the missing members; below it the pair scan wins.
-#: On 2 cores, with the index on every edge instead, dualizing the level
-#: hypergraphs of 6 ccm-deep bases took 0.15 s against 0.034 s, and of the
-#: 50 L4 w8 bases of sid-deep's set-up 0.39-0.41 s against 0.09-0.11 s;
-#: any crossover from 8 to 1 024 pairs kept the 2 ccm-wide bases near 0.22 s.
+#: Replaying the level hypergraphs on 2 cores with the index on every edge,
+#: 6 ccm-deep bases took 0.14-0.18 s against 0.05-0.09 s and the 50 L4 w8
+#: bases of sid-deep's set-up 0.35-0.47 s against 0.12-0.16 s; with the scan
+#: on every edge, 2 ccm-wide bases took 0.60-0.67 s against 0.16-0.22 s.
+#: Every crossover from 8 to 1 024 pairs stayed within the spread of 64.
 _SCAN_PAIRS = 64
 
 
@@ -205,7 +207,7 @@ def minimal_transversals(
     """
     backend = backend or DEFAULT_BACKEND
     u = h.universe
-    masks = backend.transversal_masks(h.reduced_edge_masks())
+    masks = backend.transversal_masks([e.mask for e in h.edges])
     for mask in sorted(masks, key=sort_key_lex):
         yield ElementSet(u, mask)
 
@@ -231,7 +233,7 @@ def independent_masks(
     :func:`maximal_independent_sets`.
     """
     backend = backend or DEFAULT_BACKEND
-    masks = backend.transversal_masks(minimal_masks(edges))
+    masks = backend.transversal_masks(list(edges))
     return sorted((vertices & ~m for m in masks), key=sort_key_lex)
 
 

@@ -320,28 +320,25 @@ def rank_exists_brute(base: ImplicationalBase) -> bool:
                     seen.add(y)
                     queue.append(y)
 
+    # Backtracking on an explicit stack, so that any ground set stays within
+    # the recursion limit: tried[i] is the next value order[i] tries.
     assignment: dict[int, int] = {}
-
-    def admissible(x: int, value: int) -> bool:
-        for y, delta in constraints[x]:
-            ry = assignment.get(y)
-            if ry is not None and ry != value + delta:
-                return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
+    tried = [0] * len(order)
+    i = 0
+    while 0 <= i < len(order):
         x = order[i]
-        for value in range(n + 1):
-            if admissible(x, value):
+        for value in range(tried[i], n + 1):
+            if all(assignment.get(y, value + d) == value + d for y, d in constraints[x]):
                 assignment[x] = value
-                if search(i + 1):
-                    return True
-                del assignment[x]
-        return False
-
-    return search(0)
+                tried[i] = value + 1
+                i += 1
+                break
+        else:
+            tried[i] = 0
+            i -= 1
+            if i >= 0:
+                del assignment[order[i]]
+    return i == len(order)
 
 
 # -- random instance generators ---------------------------------------------

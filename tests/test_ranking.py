@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import make_base
+from conftest import layered_base, make_base
 from geodual import (
     MeetFamily,
     RankConflict,
@@ -118,6 +118,10 @@ class TestRankProperties:
             assert validate_rank(base, rho)
             assert min(rho.ranks) == 0
             assert rank_exists_brute(base)
+
+    def test_brute_search_deeper_than_the_recursion_limit(self):
+        # 4 096 elements, all constrained: one search step per element
+        assert rank_exists_brute(layered_base(2, 2048, 1, 1, seed=7))
 
     def test_conflict_means_no_rank_exists(self):
         rng = random.Random(32)
