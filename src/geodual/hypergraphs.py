@@ -205,11 +205,21 @@ def minimal_transversals(
     at all the single empty set is streamed.  Order is lexicographic on
     the ascending position sequence.
     """
-    backend = backend or DEFAULT_BACKEND
     u = h.universe
-    masks = backend.transversal_masks([e.mask for e in h.edges])
-    for mask in sorted(masks, key=sort_key_lex):
+    for mask in transversal_masks([e.mask for e in h.edges], backend):
         yield ElementSet(u, mask)
+
+
+def transversal_masks(
+    edges: list[int], backend: DualizationBackend | None = None
+) -> list[int]:
+    """The minimal transversals of a hypergraph given as raw edge masks.
+
+    The list is handed to the backend as it is.  Order is that of
+    :func:`minimal_transversals`.
+    """
+    backend = backend or DEFAULT_BACKEND
+    return sorted(backend.transversal_masks(edges), key=sort_key_lex)
 
 
 def maximal_independent_sets(h: Hypergraph) -> Iterator[ElementSet]:

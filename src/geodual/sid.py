@@ -3,10 +3,10 @@
 The input family induces a closure operator (intersect all members
 containing the query set).  Each member is first assigned to the unique
 element j whose addition keeps it closed; the members assigned to j are
-the maximal closed sets avoiding j.  The premises of the recovered rules
-concluding in j are then exactly the minimal transversals of the
-complement hypergraph of that family, restricted to the elements that
-can take part in such a premise.
+the maximal closed sets avoiding j.  The premises of the rules concluding
+in j are then the minimal transversals of the complement hypergraph of
+that family restricted to the elements that can take part in a premise,
+dualized as one edge mask per member with no `Hypergraph` built.
 
 Both the assignment and the restriction ask which sets stay closed.  They
 are answered from an index of the family by element (``_index``): for
@@ -29,7 +29,8 @@ from .errors import (
     NotRankedError,
     VerificationError,
 )
-from .hypergraphs import DualizationBackend, Hypergraph, induced, minimal_transversals
+# `minimal_transversals` is not called here; perfbench/tracing.py wraps it by name.
+from .hypergraphs import DualizationBackend, Hypergraph, minimal_transversals, transversal_masks
 from .implications import Implication, ImplicationalBase
 from .sets import ElementSet, GroundSet, Immutable, iter_bits
 
@@ -267,6 +268,8 @@ def predecessors(
     `j_up` means `j` has no generators at all; that case is logged and
     yields the empty set.
     """
+    if not 0 <= j < m.ground.size:
+        raise InputError(f"element position {j} outside the ground set")
     j_up = tuple(j_up)
     if not j_up:
         import logging  # only this case logs; keeps `logging` off `sid` start-up
@@ -296,18 +299,17 @@ def complement_hypergraph(
     removed from the vertices and from every edge, since no generator of
     `j` may contain it.
     """
+    if not 0 <= j < m.ground.size:
+        raise InputError(f"element position {j} outside the ground set")
     j_up = tuple(j_up)
     if not j_up:
         raise InputError("complement hypergraph needs at least one avoiding member")
-    u = m.ground
-    full = (1 << u.size) - 1
-    jbit = 1 << j
-    common = full
+    keep = ((1 << m.ground.size) - 1) ^ 1 << j
+    common = keep
     for member in j_up:
         common &= member.mask
-    vertices = ElementSet(u, (full & ~common) & ~jbit)
-    edges = [ElementSet(u, (full & ~member.mask) & ~jbit) for member in j_up]
-    return Hypergraph(vertices, edges)
+    edges = [ElementSet(m.ground, keep & ~member.mask) for member in j_up]
+    return Hypergraph(ElementSet(m.ground, keep & ~common), edges)
 
 
 def recovered_premises(
@@ -320,15 +322,14 @@ def recovered_premises(
 
     `j_up` is the block of ``partition_meets(m)`` for `j`, the members
     avoiding `j`; with none, `j` has no rules.  The premises are the
-    minimal transversals of the complement hypergraph restricted to the
-    possible premise elements, in the order of the transversal stream.
+    minimal transversals of the predecessors minus each member, the
+    complement hypergraph restricted to the predecessors (which never
+    hold `j`), in the order of :func:`transversal_masks`.
     """
     if not j_up:
         return
-    pred = predecessors(m, j, j_up)
-    restricted = induced(complement_hypergraph(m, j, j_up), pred)
-    for t in minimal_transversals(restricted, backend):
-        yield t.mask
+    within = predecessors(m, j, j_up).mask
+    yield from transversal_masks([within & ~x.mask for x in j_up], backend)
 
 
 def iter_recovered_implications(

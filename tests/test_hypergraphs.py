@@ -20,6 +20,7 @@ from geodual.hypergraphs import (
     independent_masks,
     maximal_independent_sets,
     minimal_transversals,
+    transversal_masks,
 )
 from geodual.oracle import random_hypergraph, transversals_brute
 from geodual.sets import iter_bits, minimal_masks
@@ -71,10 +72,12 @@ class TestMinimalTransversals:
 
     def test_empty_edge_kills_stream(self):
         assert list(minimal_transversals(hg("1 2", ""))) == []
+        assert transversal_masks([0b11, 0]) == []
 
     def test_no_edges_yields_empty_set(self):
         (only,) = minimal_transversals(hg("1 2"))
         assert len(only) == 0
+        assert transversal_masks([]) == [0]
 
 
 class TestMaximalIndependentSets:
@@ -140,9 +143,9 @@ class TestAgainstBruteForce:
                     assert any(reduced & e == 0 for e in edges), "every element needed"
 
     def test_absorption_invariance(self):
-        # Neither stream reduces its edges before dualizing, so repeating
-        # an edge, adding a superset of one, or permuting them must leave
-        # both streams as they are, order included.
+        # No entry reduces its edges before dualizing, so repeating an
+        # edge, adding a superset of one, or permuting them must leave
+        # every stream as it is, order included.
         rng = random.Random(99)
         for _ in range(80):
             h = random_hypergraph(rng, max_vertices=7, max_edges=8)
@@ -154,6 +157,8 @@ class TestAgainstBruteForce:
             h2 = Hypergraph(h.vertices, edges)
             assert list(minimal_transversals(h2)) == list(minimal_transversals(h))
             assert list(maximal_independent_sets(h2)) == list(maximal_independent_sets(h))
+            masks = [e.mask for e in h.edges]
+            assert transversal_masks([e.mask for e in edges]) == transversal_masks(masks)
 
 
 @st.composite
@@ -262,8 +267,11 @@ def test_backends_receive_the_callers_edges_unreduced():
     h = Hypergraph(ElementSet.full(g), [ElementSet(g, e) for e in edges])
     assert list(minimal_transversals(h, backend)) == []
     assert independent_masks(0b111, iter(edges[:4]), backend) == [0b101]
-    assert backend.handed == [edges, edges[:4]]
-    assert [type(handed) for handed in backend.handed] == [list, list]
+    mine = edges[:4]
+    assert transversal_masks(mine, backend) == [0b010]
+    assert backend.handed == [edges, edges[:4], mine]
+    assert [type(handed) for handed in backend.handed] == [list, list, list]
+    assert backend.handed[2] is mine, "the caller's list itself"
 
 
 class DifferentialBackend:

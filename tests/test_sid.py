@@ -39,7 +39,11 @@ from geodual.oracle import (
     random_ranked_base,
 )
 from geodual.sets import iter_bits
-from geodual.sid import closure_from_meets_mask, iter_recovered_implications
+from geodual.sid import (
+    closure_from_meets_mask,
+    iter_recovered_implications,
+    recovered_premises,
+)
 
 
 @pytest.fixture
@@ -172,6 +176,12 @@ class TestPredecessors:
         grown = ElementSet.from_labels(layered.ground, ["1", "2", "3", "5", "j"])
         assert closure_from_meets(layered_meets, grown) != grown
 
+    def test_position_outside_ground_rejected(self, layered, layered_meets):
+        j_up = partition_meets(layered_meets)[layered.ground.position("j")]
+        for j in (layered.ground.size, -1):
+            with pytest.raises(InputError, match="outside the ground set"):
+                predecessors(layered_meets, j, j_up)
+
     def test_empty_family_flagged(self, layered, layered_meets, caplog):
         import logging
 
@@ -188,6 +198,12 @@ class TestComplementHypergraph:
         hj = complement_hypergraph(layered_meets, jpos, part[jpos])
         assert family(hj.edges) == family(sets_of(layered, "3 5", "2 4", "1 4"))
         assert hj.vertices.labels() == ("1", "2", "3", "4", "5")
+
+    def test_position_outside_ground_rejected(self, layered, layered_meets):
+        j_up = partition_meets(layered_meets)[layered.ground.position("j")]
+        for j in (layered.ground.size, -1):
+            with pytest.raises(InputError, match="outside the ground set"):
+                complement_hypergraph(layered_meets, j, j_up)
 
     def test_chain(self, chain_family):
         ground = chain_family.ground
@@ -444,13 +460,25 @@ def blocks(fam, part):
     return [tuple(m for m in fam if j not in m) for j in range(fam.ground.size)]
 
 
+def premises_by_hypergraph(fam, j, j_up):
+    """The premise masks for `j` through the paper's objects: the complement
+    hypergraph induced on the predecessors, then its transversal stream."""
+    restricted = induced(complement_hypergraph(fam, j, j_up), predecessors(fam, j, j_up))
+    return [t.mask for t in minimal_transversals(restricted)]
+
+
 def assert_kernel_matches_scan(fam):
     """Partition, predecessors and --strict give what the family scan gives,
-    error messages included; returns the partition's outcome."""
+    error messages included, and the premise step on masks gives the paper's
+    premises in order; returns the partition's outcome."""
     part = outcome(partition_meets, fam)
     assert part == outcome(partition_by_scan, fam)
     for j, j_up in enumerate(blocks(fam, part)):
         assert predecessors(fam, j, j_up) == predecessors_by_scan(fam, j, j_up)
+        if isinstance(part, dict) and j_up:
+            assert list(recovered_premises(fam, j, j_up)) == premises_by_hypergraph(
+                fam, j, j_up
+            )
     assert outcome(recover_critical_base, fam, strict=True) == outcome(
         strict_recovery_by_scan, fam
     )
@@ -559,6 +587,10 @@ def test_kernel_matches_scan_at_ladder_size():
     assert part == partition_by_scan(fam)
     for j, j_up in part.items():
         assert predecessors(fam, j, j_up) == predecessors_by_scan(fam, j, j_up)
+        if j_up:
+            assert list(recovered_premises(fam, j, j_up)) == premises_by_hypergraph(
+                fam, j, j_up
+            )
 
 
 def test_roundtrip_at_4096_elements():
