@@ -114,6 +114,9 @@ def is_ranked_geometry(base: ImplicationalBase) -> bool:
     """True iff the closure space of `base` admits a ranked base.
 
     The space is ranked exactly when its critical base is, so the test
-    reduces to rank-checking that one base.
+    reduces to rank-checking that one base.  One way is immediate.  If
+    rho ranks some base B of the space, each critical rule G -> b has G
+    inside a rule Q -> b of B, since the argument of :func:`critical_base`
+    holds for any base of the space; so rho ranks the critical base too.
     """
     return isinstance(compute_rank(critical_base(base)), RankFunction)

@@ -28,7 +28,6 @@ from .implications import (
     Implication,
     ImplicationalBase,
     closure_mask,
-    is_standard,
 )
 from .ranking import RankConflict, compute_rank
 from .sets import (
@@ -366,18 +365,6 @@ def _random_mask(rng: random.Random, pool: Sequence[int], cap: int) -> int:
     return sum(1 << pos for pos in rng.sample(pool, rng.randint(1, min(cap, len(pool)))))
 
 
-def _random_level_split(rng: random.Random, n: int, parts: int) -> list[list[int]]:
-    positions = list(range(n))
-    rng.shuffle(positions)
-    cuts = sorted(rng.sample(range(1, n), parts - 1)) if parts > 1 else []
-    levels = []
-    prev = 0
-    for cut in cuts + [n]:
-        levels.append(positions[prev:cut])
-        prev = cut
-    return levels
-
-
 def random_ranked_base(
     rng: random.Random,
     max_elements: int = 12,
@@ -386,29 +373,26 @@ def random_ranked_base(
     """A random base that admits a rank function by construction.
 
     Elements are split into nonempty rank levels; every implication takes
-    its premise inside one level and concludes one level below.
-    Standardness is enforced by rejection, although ranked bases built
-    this way always pass.
+    a nonempty premise inside one level and concludes one level below, so
+    the base is acyclic and, as in :func:`random_acyclic_base`, standard.
     """
     _check_generator_bounds(max_elements, max_implications)
-    while True:
-        n = rng.randint(2, max_elements)
-        ground = _labels(n)
-        parts = rng.randint(2, min(n, 5))
-        levels = _random_level_split(rng, n, parts)
-        lo = 0 if n <= 7 else n - 6
-        count = rng.randint(min(lo, max_implications), max_implications)
-        chosen: set[tuple[int, int]] = set()
-        for _ in range(count):
-            i = rng.randrange(len(levels) - 1)
-            upper, lower = levels[i + 1], levels[i]
-            chosen.add((_random_mask(rng, upper, 3), rng.choice(lower)))
-        base = ImplicationalBase(
-            ground,
-            [Implication(ElementSet(ground, p), c) for p, c in sorted(chosen)],
-        )
-        if is_standard(base):
-            return base
+    n = rng.randint(2, max_elements)
+    ground = _labels(n)
+    parts = rng.randint(2, min(n, 5))
+    positions = list(range(n))
+    rng.shuffle(positions)
+    cuts = [0, *sorted(rng.sample(range(1, n), parts - 1)), n]
+    levels = [positions[start:stop] for start, stop in zip(cuts, cuts[1:])]
+    lo = 0 if n <= 7 else n - 6
+    count = rng.randint(min(lo, max_implications), max_implications)
+    chosen: set[tuple[int, int]] = set()
+    for _ in range(count):
+        i = rng.randrange(len(levels) - 1)
+        chosen.add((_random_mask(rng, levels[i + 1], 3), rng.choice(levels[i])))
+    return ImplicationalBase(
+        ground, [Implication(ElementSet(ground, p), c) for p, c in sorted(chosen)]
+    )
 
 
 def random_acyclic_base(
@@ -416,26 +400,26 @@ def random_acyclic_base(
     max_elements: int = 10,
     max_implications: int = 20,
 ) -> ImplicationalBase:
-    """A random acyclic base: premises sit above their conclusion in a
-    random topological order.  Standardness is enforced by rejection."""
+    """A random acyclic base: nonempty premises sit above their conclusion
+    in a random topological order.  It is standard: no premise is empty,
+    so the empty set is closed, and every rule concludes below its
+    premise, so cl(x) - x holds only elements below x and no rule
+    concluding x fires in it; any other rule that fires there concludes
+    inside the closed cl(x), so not x.
+    """
     _check_generator_bounds(max_elements, max_implications)
-    while True:
-        n = rng.randint(2, max_elements)
-        ground = _labels(n)
-        topo = list(range(n))
-        rng.shuffle(topo)  # topo[i] is the i-th element bottom-up
-        count = rng.randint(0, max_implications)
-        chosen: set[tuple[int, int]] = set()
-        for _ in range(count):
-            ci = rng.randrange(n - 1)
-            concl = topo[ci]
-            chosen.add((_random_mask(rng, topo[ci + 1 :], 3), concl))
-        base = ImplicationalBase(
-            ground,
-            [Implication(ElementSet(ground, p), c) for p, c in sorted(chosen)],
-        )
-        if is_standard(base):
-            return base
+    n = rng.randint(2, max_elements)
+    ground = _labels(n)
+    topo = list(range(n))
+    rng.shuffle(topo)  # topo[i] is the i-th element bottom-up
+    count = rng.randint(0, max_implications)
+    chosen: set[tuple[int, int]] = set()
+    for _ in range(count):
+        ci = rng.randrange(n - 1)
+        chosen.add((_random_mask(rng, topo[ci + 1 :], 3), topo[ci]))
+    return ImplicationalBase(
+        ground, [Implication(ElementSet(ground, p), c) for p, c in sorted(chosen)]
+    )
 
 
 def random_distributive_base(rng: random.Random, max_elements: int = 8) -> ImplicationalBase:

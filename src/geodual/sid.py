@@ -39,9 +39,7 @@ class MeetFamily(Immutable):
     """A duplicate-free family of subsets asserted to be meet-irreducible.
 
     No member may equal the whole ground set.  Members may be comparable;
-    genuine meet-irreducibility within the family's intersection closure
-    is only validated on demand (see ``strict`` in
-    :func:`recover_critical_base`), since the input is normally trusted.
+    a family that :func:`partition_meets` accepts is meet-irreducible.
     """
 
     __slots__ = ("ground", "meets", "_index")
@@ -236,6 +234,19 @@ def partition_meets(m: MeetFamily) -> dict[int, tuple[ElementSet, ...]]:
     maximal closed sets avoiding that element).  A member with zero or
     several candidate elements disproves the convex-geometry assumption
     and raises :class:`NotConvexGeometryError`.
+
+    When the partition returns, every member is meet-irreducible.  Let L
+    be the family's intersection closure plus the ground set; each
+    meet-irreducible X of L below the top, the intersection of the members
+    containing it, is a member.  (1) For a member N irreducible in L,
+    ``added`` is N's unique cover minus N, so N passes only when that cover
+    adds one element.  (2) Then every cover in L adds one element: if a
+    cover Y of X held new b != c, take M maximal in L with X in M and b
+    not in M.  All above M holds b, so M is irreducible and, by (1),
+    covered by M + b.  c is not in M, lest Y = cl(X + c) lie in M; yet
+    Y = cl(X + b) lies in M + b.  (3) A reducible member has two or more
+    covers, each adding one element, so the fallback finds as many closed
+    extensions.
     """
     n = m.ground.size
     labels = m.ground.labels
@@ -359,21 +370,22 @@ def recover_critical_base(
 
     The input must be the meet family of a ranked convex geometry; that
     assumption is not decidable here in polynomial time, so by default it
-    is trusted.  With ``strict`` every member is first checked to be
-    genuinely meet-irreducible within the family's intersection closure.
+    is trusted.  ``strict`` never changes a successful run (see
+    :func:`partition_meets`); on a failing one it reports a member equal to
+    the intersection of the members above it, if any, as an InputError.
     With ``verify`` the meets of the recovered base are recomputed and
     compared with `m`, raising :class:`VerificationError` on mismatch.
     """
-    if strict:
-        # A member is reducible when it equals the intersection of the members
-        # strictly above it; with none above, that is the ground set.
-        bogus = [member for member, _, added in _upper_covers(m) if not added]
-        if bogus:
-            raise InputError(
-                f"{len(bogus)} member(s) are not meet-irreducible in the family's "
-                f"intersection closure, e.g. {bogus[0]!r}"
-            )
-    base = ImplicationalBase(m.ground, tuple(iter_recovered_implications(m)))
+    try:
+        base = ImplicationalBase(m.ground, tuple(iter_recovered_implications(m)))
+    except NotConvexGeometryError:
+        bogus = [member for member, _, added in _upper_covers(m) if not added] if strict else []
+        if not bogus:
+            raise
+        raise InputError(
+            f"{len(bogus)} member(s) are not meet-irreducible in the family's "
+            f"intersection closure, e.g. {bogus[0]!r}"
+        ) from None
     if verify:
         from .ccm import meet_irreducibles  # only `verify` needs ccm
 

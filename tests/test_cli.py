@@ -177,6 +177,23 @@ class TestSid:
         assert code == 1
         assert err.startswith("error: 1 member(s) are not meet-irreducible")
 
+    def test_strict_reports_a_reducible_member_before_the_partition_error(
+        self, capsys, tmp_path
+    ):
+        # The partition stops at {a}, which has no closed extension and is
+        # irreducible; {} is the intersection of {a} and {b}.
+        f = tmp_path / "precedence.mf"
+        f.write_text("elements: a b c\na\n.\nb\n")
+        code, _, err = run(capsys, "sid", f)
+        assert code == 2
+        assert "member {a}" in err
+        assert run(capsys, "sid", f, "--strict") == (
+            1,
+            "",
+            "error: 1 member(s) are not meet-irreducible in the family's "
+            "intersection closure, e.g. {}\n",
+        )
+
     @pytest.mark.parametrize("n", [70, 200, 4096])
     def test_boolean_coatoms_beyond_64_elements(self, capsys, tmp_path, n):
         # The coatoms of a Boolean lattice: every element is its own
@@ -652,6 +669,8 @@ STDOUT_CASES = [
     ("sid {mf}", 0, lambda b, c, f: _imp_lines(f.ground, iter_recovered_implications(f))),
     ("sid {mf} --verify", 0, lambda b, c, f: _base_lines(recover_critical_base(f, verify=True))),
     ("sid {mf} --strict", 0, lambda b, c, f: _base_lines(recover_critical_base(f, strict=True))),
+    ("sid {mf} --strict --verify", 0, lambda b, c, f: _base_lines(
+        recover_critical_base(f, verify=True, strict=True))),
     ("critical-base {imp}", 0, lambda b, c, f: _base_lines(critical_base(b))),
     ("rank-check {imp}", 0, lambda b, c, f: [
         "ranked", *(f"{label}={rank}" for label, rank in _ranks(b).items())]),

@@ -19,12 +19,15 @@ from geodual import (
     ImplicationalBase,
     MinimalGenerator,
     PreconditionError,
+    RankFunction,
+    compute_rank,
     critical_base,
     equivalent,
     is_ranked_geometry,
     is_redundant,
+    validate_rank,
 )
-from geodual.oracle import mingens_brute, random_acyclic_base
+from geodual.oracle import mingens_brute, random_acyclic_base, random_ranked_base
 
 
 def imp_set(base):
@@ -124,6 +127,19 @@ class TestIsRankedGeometry:
         # 1 -> 3 is redundant via 1 -> 2 -> 3; the critical base is ranked
         base = make_base("1 2 3", [("1", "2"), ("2", "3"), ("1", "3")])
         assert is_ranked_geometry(base)
+
+    def test_critical_base_keeps_the_ranks_of_any_ranked_base(self):
+        # Padded with entailed rules, a ranked base is often unranked as
+        # given; each critical premise still lies inside a premise of the
+        # ranked base, so its rank function ranks the critical base.
+        rng = random.Random(23)
+        unranked = 0
+        for _ in range(60):
+            base = random_ranked_base(rng, max_elements=9, max_implications=12)
+            padded = equivalent_perturbation(rng, with_wide_premises(rng, base))
+            unranked += not isinstance(compute_rank(padded), RankFunction)
+            assert validate_rank(critical_base(padded), compute_rank(base))
+        assert unranked >= 10
 
 
 class TestCriticalBaseProperties:

@@ -40,6 +40,7 @@ from geodual.oracle import (
 )
 from geodual.sets import iter_bits
 from geodual.sid import (
+    _upper_covers,
     closure_from_meets_mask,
     iter_recovered_implications,
     recovered_premises,
@@ -252,6 +253,21 @@ class TestRecovery:
         rec = recover_critical_base(layered_meets, strict=True)
         assert set(rec.implications) == set(layered.implications)
 
+    def test_strict_adds_no_pass_when_the_partition_succeeds(self, monkeypatch):
+        # A family that `partition_meets` accepts has no reducible member, so
+        # `strict` looks for one only once the partition has failed.
+        fam = layered_meet_family(4, 8, 3, 2, seed=9)
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return _upper_covers(m)
+
+        monkeypatch.setattr("geodual.sid._upper_covers", counted)
+        strict = recover_critical_base(fam, strict=True)
+        assert len(calls) == 1
+        assert strict.implications == recover_critical_base(fam).implications
+
     def test_uneven_oracle_experiment(self, uneven):
         """Unranked input for which the recovery still works end to end."""
         fam = MeetFamily(uneven.ground, meets_brute(uneven))
@@ -441,12 +457,9 @@ def predecessors_by_definition(fam, j, j_up):
     return ElementSet(fam.ground, found)
 
 
-def strict_recovery_by_definition(fam, closed=None):
-    """`closed` is the intersection closure of `fam`, computed if not given."""
-    if closed is None:
-        closed = intersection_closure(fam.ground, fam.meets)
-    full = (1 << fam.ground.size) - 1
-    irreducible = set(family_meet_masks(closed, full))
+def strict_recovery_by_definition(fam, irreducible):
+    """`irreducible` holds the meet-irreducible masks of the intersection
+    closure of `fam`."""
     if any(member.mask not in irreducible for member in fam):
         raise InputError("a member is meet-reducible")
     return recover_critical_base(fam)
@@ -486,13 +499,20 @@ def assert_kernel_matches_scan(fam):
 
 
 def assert_kernel_matches_definitions(fam, closed=None):
+    if closed is None:
+        closed = intersection_closure(fam.ground, fam.meets)
+    irreducible = set(family_meet_masks(closed, (1 << fam.ground.size) - 1))
     part = assert_kernel_matches_scan(fam)
     by_definition = outcome(partition_by_definition, fam)
     assert without_message(part) == without_message(by_definition)
+    if isinstance(part, dict):
+        # The lemma of `partition_meets`: a family it accepts holds only
+        # meet-irreducible members, so `--strict` has nothing left to find.
+        assert all(member.mask in irreducible for member in fam)
     for j, j_up in enumerate(blocks(fam, part)):
         assert predecessors(fam, j, j_up) == predecessors_by_definition(fam, j, j_up)
     strict = outcome(recover_critical_base, fam, strict=True)
-    by_definition = outcome(strict_recovery_by_definition, fam, closed)
+    by_definition = outcome(strict_recovery_by_definition, fam, irreducible)
     assert without_message(strict) == without_message(by_definition)
 
 
