@@ -59,7 +59,7 @@ class NotRankedError(PreconditionError):
 
 
 class NotConvexGeometryError(PreconditionError):
-    """A meet family failed the unique-successor partition test."""
+    """A family is not the meet family of a convex geometry."""
 
 
 class DuplicateImplicationWarning(UserWarning):

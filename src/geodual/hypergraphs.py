@@ -240,11 +240,13 @@ def independent_masks(
     """The maximal independent sets of a hypergraph given as raw masks.
 
     `edges` must lie inside `vertices`.  Order is that of
-    :func:`maximal_independent_sets`.
+    :func:`maximal_independent_sets`.  The minimal transversals form an
+    antichain inside `vertices`, so no key is a prefix of another and the
+    first in lexicographic order holds the first position where two
+    differ; complementing within `vertices` swaps the holder, so the
+    reversed transversal order sorts the complements.
     """
-    backend = backend or DEFAULT_BACKEND
-    masks = backend.transversal_masks(list(edges))
-    return sorted((vertices & ~m for m in masks), key=sort_key_lex)
+    return [vertices & ~t for t in reversed(transversal_masks(list(edges), backend))]
 
 
 def induced(h: Hypergraph, s: ElementSet) -> Hypergraph:

@@ -17,10 +17,6 @@ from .errors import InputError
 #: Hard capacity of a ground set; fixed once at construction.
 MAX_GROUND_SIZE = 4096
 
-#: The label table of a run of eight positions no set has reached yet,
-#: shared by all such runs and immutable.
-_UNBUILT = ("",)
-
 
 class Immutable:
     """Blocks attribute assignment and deletion after construction; pickle-safe."""
@@ -95,7 +91,7 @@ class GroundSet(Immutable):
             index[label] = pos
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_tables", [_UNBUILT] * -(-len(labels) // 8))
+        object.__setattr__(self, "_tables", None)  # see `join_labels`
 
     def __reduce__(self):
         return type(self), (self.labels,)
@@ -122,29 +118,24 @@ class GroundSet(Immutable):
         Each byte of the mask is looked up in the table of its eight
         positions, which holds the joined labels of every byte value, and
         the nonempty entries are joined in one C-level pass: a set costs
-        one lookup per byte of the ground set.  A table is built the
-        first time a nonzero byte needs it; until then its slot holds the
-        shared placeholder ``("",)``, which reads ``""`` for a zero byte
-        and raises IndexError for any other.
+        one lookup per byte of the ground set.  All tables are built by
+        the first call.
         """
         tables = self._tables
+        if tables is None:
+            tables = [self._table(chunk) for chunk in range(-(-self.size // 8))]
+            object.__setattr__(self, "_tables", tables)
         chunks = mask.to_bytes(len(tables), "little")
-        try:
-            return " ".join(filter(None, map(getitem, tables, chunks)))
-        except IndexError:
-            for chunk, byte in enumerate(chunks):
-                if byte and tables[chunk] is _UNBUILT:
-                    self._table(chunk)
-            return " ".join(filter(None, map(getitem, tables, chunks)))
+        return " ".join(filter(None, map(getitem, tables, chunks)))
 
-    def _table(self, chunk: int) -> None:
+    def _table(self, chunk: int) -> list[str]:
         labels = self.labels[8 * chunk : 8 * chunk + 8]
         table = [""]
         for byte in range(1, 1 << len(labels)):
             low = byte & -byte
             head, rest = labels[low.bit_length() - 1], table[byte ^ low]
             table.append(f"{head} {rest}" if rest else head)
-        self._tables[chunk] = table
+        return table
 
     def position(self, label: str) -> int:
         """Position of `label`, raising :class:`InputError` if unknown."""

@@ -275,21 +275,10 @@ def predecessors(
     """Elements that can occur in a recovered premise concluding in `j`.
 
     An element qualifies when adding it together with `j` to some member
-    avoiding both leaves a closed set.  An empty result with an empty
-    `j_up` means `j` has no generators at all; that case is logged and
-    yields the empty set.
+    avoiding both leaves a closed set.
     """
     if not 0 <= j < m.ground.size:
         raise InputError(f"element position {j} outside the ground set")
-    j_up = tuple(j_up)
-    if not j_up:
-        import logging  # only this case logs; keeps `logging` off `sid` start-up
-
-        logging.getLogger(__name__).info(
-            "element %r avoids no member; it has no generators",
-            m.ground.labels[j],
-        )
-        return ElementSet.empty(m.ground)
     ix = _index(m)
     full = (1 << m.ground.size) - 1
     found = 0
@@ -332,13 +321,11 @@ def recovered_premises(
     """Stream the premise masks of the recovered rules concluding in `j`.
 
     `j_up` is the block of ``partition_meets(m)`` for `j`, the members
-    avoiding `j`; with none, `j` has no rules.  The premises are the
-    minimal transversals of the predecessors minus each member, the
-    complement hypergraph restricted to the predecessors (which never
+    avoiding `j`; an empty block gives the empty premise.  The premises
+    are the minimal transversals of the predecessors minus each member,
+    the complement hypergraph restricted to the predecessors (which never
     hold `j`), in the order of :func:`transversal_masks`.
     """
-    if not j_up:
-        return
     within = predecessors(m, j, j_up).mask
     yield from transversal_masks([within & ~x.mask for x in j_up], backend)
 
@@ -352,12 +339,30 @@ def iter_recovered_implications(
 
     For each element j, the premises of :func:`recovered_premises` are
     emitted as rules concluding in j, ordered by conclusion position.
+
+    Before the first rule, an element with an empty block raises
+    :class:`NotConvexGeometryError`.  With the partition, this decides that
+    `m` is the meet family of a convex geometry: its intersection closure L
+    holds the empty set and has only one-element covers.  If a member
+    avoids j, the members above a maximal such M all hold j, so M's added
+    element is j: j's block is empty exactly when j lies in every member,
+    so all blocks are nonempty exactly when L holds the empty set.  With
+    the lemma of :func:`partition_meets` (every member is irreducible, every
+    cover of L adds one element), L is then a convex geometry whose
+    meet-irreducibles are the members.  Conversely, in a convex geometry
+    each j has a maximal closed set avoiding j: a meet, in j's block.
     """
     if partition is None:
         partition = partition_meets(m)
     u = m.ground
     for j in range(u.size):
-        for mask in recovered_premises(m, j, partition.get(j, ()), backend):
+        if not partition.get(j):
+            raise NotConvexGeometryError(
+                f"not a convex-geometry meet family: element {u.labels[j]!r} "
+                "lies in every member, so the empty set is not closed"
+            )
+    for j in range(u.size):
+        for mask in recovered_premises(m, j, partition[j], backend):
             yield Implication(ElementSet(u, mask), j)
 
 
@@ -368,9 +373,10 @@ def recover_critical_base(
 ) -> ImplicationalBase:
     """Build the unit-minimum base whose meet-irreducible family is `m`.
 
-    The input must be the meet family of a ranked convex geometry; that
-    assumption is not decidable here in polynomial time, so by default it
-    is trusted.  ``strict`` never changes a successful run (see
+    The input must be the meet family of a ranked convex geometry.  The
+    geometry is checked (:func:`iter_recovered_implications`); rankedness
+    is not decidable here in polynomial time, so by default it is trusted.
+    ``strict`` never changes a successful run (see
     :func:`partition_meets`); on a failing one it reports a member equal to
     the intersection of the members above it, if any, as an InputError.
     With ``verify`` the meets of the recovered base are recomputed and

@@ -16,6 +16,7 @@ from conftest import DATA, layered_base
 from geodual import (
     ElementSet,
     GroundSet,
+    ImplicationalBase,
     critical_base,
     formats,
     is_ranked_geometry,
@@ -194,6 +195,35 @@ class TestSid:
             "intersection closure, e.g. {}\n",
         )
 
+    @pytest.mark.parametrize(
+        "text, label",
+        [("elements: a b\nb\n", "b"), ("elements: a b c\n", "a")],
+        ids=["element-in-every-member", "empty-family"],
+    )
+    def test_element_in_every_member_exits_2(self, capsys, tmp_path, text, label):
+        # Both families partition, but the empty set is not closed in their
+        # intersection closure, so neither is a convex geometry's meet family.
+        f = tmp_path / "full-element.mf"
+        f.write_text(text)
+        err = (
+            f"precondition violated: not a convex-geometry meet family: element "
+            f"'{label}' lies in every member, so the empty set is not closed\n"
+        )
+        header = text.splitlines()[0] + "\n"
+        assert run(capsys, "sid", f) == (2, header, err)
+        assert run(capsys, "sid", f, "--strict") == (2, "", err)
+        assert run(capsys, "sid", f, "--verify") == (2, "", err)
+
+    def test_verify_exits_3_on_an_unranked_family(self, capsys, tmp_path, uneven):
+        # The meet family of `uneven` partitions cleanly, but the recovered
+        # base has no rank function.
+        f = tmp_path / "uneven.mf"
+        f.write_text(formats.format_mf(uneven.ground, meets_brute(uneven)))
+        code, out, err = run(capsys, "sid", f, "--verify")
+        assert (code, out) == (3, "")
+        assert err.startswith("verification failed: recovered base admits no rank function")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("n", [70, 200, 4096])
     def test_boolean_coatoms_beyond_64_elements(self, capsys, tmp_path, n):
         # The coatoms of a Boolean lattice: every element is its own
@@ -336,6 +366,18 @@ class TestRoundtripCommand:
     def test_unranked_exits_2(self, capsys, data_dir):
         code, _, err = run(capsys, "roundtrip", data_dir / "crossed.imp")
         assert code == 2
+
+    def test_mismatch_exits_3(self, capsys, data_dir, monkeypatch):
+        monkeypatch.setattr(
+            "geodual.sid.recover_critical_base",
+            lambda meets: ImplicationalBase(meets.ground, ()),
+        )
+        assert run(capsys, "roundtrip", data_dir / "layered.imp") == (
+            3,
+            "",
+            "verification failed: roundtrip mismatch: recovered base differs "
+            "from the critical base\n",
+        )
 
     def test_generated_corpus_roundtrips(self, capsys, tmp_path):
         import random

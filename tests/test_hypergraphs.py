@@ -23,7 +23,7 @@ from geodual.hypergraphs import (
     transversal_masks,
 )
 from geodual.oracle import random_hypergraph, transversals_brute
-from geodual.sets import iter_bits, minimal_masks
+from geodual.sets import iter_bits, minimal_masks, sort_key_lex
 
 
 def hg(labels, *edges):
@@ -220,6 +220,20 @@ def raw_edge_lists(draw):
 @given(raw_edge_lists())
 def test_berge_matches_definition_on_raw_edges(edges):
     assert_berge_matches_definition(edges)
+
+
+@settings(max_examples=100)
+@given(raw_edge_lists(), st.integers(min_value=0, max_value=1023))
+def test_independent_masks_are_the_sorted_complements_of_the_transversals(edges, extra):
+    # The vertices hold every edge and possibly more; ten positions cover
+    # every mask `raw_edge_lists` draws.
+    g = GroundSet(str(i) for i in range(10))
+    vertices = extra
+    for edge in edges:
+        vertices |= edge
+    h = Hypergraph(ElementSet(g, vertices), [ElementSet(g, e) for e in edges])
+    expected = sorted((vertices & ~t.mask for t in transversals_brute(h)), key=sort_key_lex)
+    assert independent_masks(vertices, edges) == expected
 
 
 @st.composite

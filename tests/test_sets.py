@@ -196,15 +196,3 @@ def test_join_labels_matches_per_bit_definition(n):
         expected = " ".join(ground.labels[i] for i in range(n) if mask >> i & 1)
         assert ground.join_labels(mask) == expected
 
-
-def test_sparse_mask_builds_only_the_tables_of_its_nonzero_bytes():
-    ground = GroundSet(str(i) for i in range(MAX_GROUND_SIZE))
-    mask = 1 << 3 | 1 << 1000 | 1 << 1001 | 1 << 4095
-    assert ground.join_labels(0) == ""
-    assert ground.join_labels(mask) == "3 1000 1001 4095"
-    built = [chunk for chunk, table in enumerate(ground._tables) if len(table) > 1]
-    assert built == [0, 125, 511]
-    # Unbuilt chunks all share the one-entry placeholder.
-    unbuilt = [table for table in ground._tables if len(table) == 1]
-    assert len(unbuilt) == len(ground._tables) - 3
-    assert all(table is unbuilt[0] and table == ("",) for table in unbuilt)

@@ -183,13 +183,9 @@ class TestPredecessors:
             with pytest.raises(InputError, match="outside the ground set"):
                 predecessors(layered_meets, j, j_up)
 
-    def test_empty_family_flagged(self, layered, layered_meets, caplog):
-        import logging
-
-        with caplog.at_level(logging.INFO, logger="geodual.sid"):
-            pred = predecessors(layered_meets, layered.ground.position("j"), ())
+    def test_empty_family_flagged(self, layered, layered_meets):
+        pred = predecessors(layered_meets, layered.ground.position("j"), ())
         assert len(pred) == 0
-        assert caplog.records
 
 
 class TestComplementHypergraph:
@@ -543,10 +539,11 @@ def wide_families(draw):
     """Families over 65 to 90 elements, most members more than half full,
     so that the index enters members from both sides.
 
-    Either the meet family of a small ranked base with every other element
-    added to each member (partitioned like the small one), or members
-    missing a few elements each; then possibly a sparse member, or the
-    intersection of two members, which is reducible.
+    Either the meet family of the product of a small ranked base's
+    geometry with the Boolean lattice on the other elements (each meet
+    with every other element added, and each coatom missing one other
+    element), or members missing a few elements each; then possibly a
+    sparse member, or the intersection of two members, which is reducible.
     """
     n = draw(st.integers(65, 90))
     ground = GroundSet(str(i) for i in range(1, n + 1))
@@ -556,6 +553,7 @@ def wide_families(draw):
         small = random_ranked_base(rng, max_elements=7, max_implications=10)
         padding = full & ~((1 << small.ground.size) - 1)
         masks = [meet.mask | padding for meet in meets_brute(small)]
+        masks += [full & ~(1 << p) for p in iter_bits(padding)]
     else:
         missing = st.lists(st.integers(0, n - 1), min_size=1, max_size=3)
         masks = [
@@ -577,7 +575,30 @@ def test_kernel_matches_definitions(fam):
     assert_kernel_matches_definitions(fam)
 
 
+def is_geometry_meet_family(fam):
+    """Whether `fam` is the meet family of a convex geometry, by definition:
+    the empty set lies in its intersection closure, every cover there adds
+    one element, and the members are the closure's meet-irreducibles."""
+    full = (1 << fam.ground.size) - 1
+    closed = intersection_closure(fam.ground, fam.meets)
+    for x in closed:
+        above = [y for y in closed if y != x and not x & ~y]
+        covers = [y for y in above if not any(z != y and not z & ~y for z in above)]
+        if any((y & ~x).bit_count() != 1 for y in covers):
+            return False
+    return 0 in closed and set(family_meet_masks(closed, full)) == {m.mask for m in fam}
+
+
 @settings(max_examples=60)
+@given(meet_families())
+def test_recovery_accepts_exactly_the_meet_families_of_convex_geometries(fam):
+    recovered = outcome(recover_critical_base, fam)
+    assert isinstance(recovered, Raised) != is_geometry_meet_family(fam)
+    if isinstance(recovered, Raised):
+        assert recovered.type is NotConvexGeometryError
+
+
+@settings(max_examples=60, deadline=None)
 @given(wide_families())
 def test_kernel_matches_scan_beyond_64_elements(fam):
     assert_kernel_matches_scan(fam)
