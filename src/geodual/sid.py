@@ -190,33 +190,12 @@ def _common(ix: _Index, s: int, within: int) -> int:
     return sum(1 << b for b in iter_bits(within) if not s & ix.miss[b])
 
 
-def _closed_extensions(ix: _Index, outside: int, s: int, tested: int) -> int:
-    """The positions of `tested` whose addition leaves the set X closed.
+def _upper_covers(m: MeetFamily) -> Iterator[tuple[ElementSet, int]]:
+    """Each member M in family order, with what the members strictly above
+    it add to M: their intersection, or the ground set if none, minus M.
 
-    `outside` is the complement of X, `s` the members containing X, and
-    `tested` lies inside `outside`.  X plus a is closed exactly when every
-    element outside it is missed by some member containing it, or, when no
-    member contains it, when it is the whole ground set.  The test for a
-    stops at the first element outside X plus a that every member
-    containing X plus a contains, which ends most tests early.
-    """
-    cont, miss = ix.cont, ix.miss
-    found = 0
-    for a in iter_bits(tested):
-        abit = 1 << a
-        c = s & cont[a]
-        if all(c & miss[b] for b in iter_bits(outside ^ abit)) if c else outside == abit:
-            found |= abit
-    return found
-
-
-def _upper_covers(m: MeetFamily) -> Iterator[tuple[ElementSet, int, int]]:
-    """Each member M in family order, with the members strictly above it
-    and what their intersection adds to M.
-
-    The intersection of the members strictly above M, or the ground set
-    when there are none, lies inside every closed set strictly above M.
-    So when it adds one element j to M, M plus j is the only closed
+    That intersection lies inside every closed set strictly above M.  So
+    when it adds one element j to M, M plus j is the only closed
     single-element extension of M; when it adds more, there is none; when
     it adds nothing, M is the intersection of the members above it.
     """
@@ -224,16 +203,16 @@ def _upper_covers(m: MeetFamily) -> Iterator[tuple[ElementSet, int, int]]:
     full = (1 << m.ground.size) - 1
     for i, member in enumerate(m.meets):
         above = _containing(ix, member.mask) ^ 1 << i
-        yield member, above, _common(ix, above, full ^ member.mask)
+        yield member, _common(ix, above, full ^ member.mask)
 
 
 def partition_meets(m: MeetFamily) -> dict[int, tuple[ElementSet, ...]]:
-    """Assign every member to the unique j whose addition keeps it closed.
+    """Assign every member to the one element its unique cover adds.
 
     Returns, for each element position, the members so assigned (the
-    maximal closed sets avoiding that element).  A member with zero or
-    several candidate elements disproves the convex-geometry assumption
-    and raises :class:`NotConvexGeometryError`.
+    maximal closed sets avoiding that element).  A member to which the
+    members above it add no element or several disproves the
+    convex-geometry assumption and raises :class:`NotConvexGeometryError`.
 
     When the partition returns, every member is meet-irreducible.  Let L
     be the family's intersection closure plus the ground set; each
@@ -244,28 +223,22 @@ def partition_meets(m: MeetFamily) -> dict[int, tuple[ElementSet, ...]]:
     cover Y of X held new b != c, take M maximal in L with X in M and b
     not in M.  All above M holds b, so M is irreducible and, by (1),
     covered by M + b.  c is not in M, lest Y = cl(X + c) lie in M; yet
-    Y = cl(X + b) lies in M + b.  (3) A reducible member has two or more
-    covers, each adding one element, so the fallback finds as many closed
-    extensions.
+    Y = cl(X + b) lies in M + b.  (3) ``added`` is empty iff M is the
+    intersection of the members above it iff M is meet-reducible in L.
     """
-    n = m.ground.size
-    labels = m.ground.labels
-    families: dict[int, list[ElementSet]] = {j: [] for j in range(n)}
-    full = (1 << n) - 1
-    for member, above, added in _upper_covers(m):
-        if added:
-            candidates = 0 if added & (added - 1) else added
-        else:
-            outside = full ^ member.mask
-            candidates = _closed_extensions(_index(m), outside, above, outside)
-        if candidates.bit_count() != 1:
-            named = ", ".join(labels[j] for j in iter_bits(candidates)) or "none"
+    families: dict[int, list[ElementSet]] = {j: [] for j in range(m.ground.size)}
+    for member, added in _upper_covers(m):
+        if not added:
+            raise NotConvexGeometryError(
+                f"not a convex-geometry meet family: member {member!r} is the "
+                "intersection of the members above it"
+            )
+        if added & (added - 1):
             raise NotConvexGeometryError(
                 f"not a convex-geometry meet family: member {member!r} stays "
-                f"closed under {candidates.bit_count()} single-element extensions "
-                f"({named}), expected exactly one"
+                "closed under 0 single-element extensions (none), expected exactly one"
             )
-        families[candidates.bit_length() - 1].append(member)
+        families[added.bit_length() - 1].append(member)
     return {j: tuple(fam) for j, fam in families.items()}
 
 
@@ -274,18 +247,29 @@ def predecessors(
 ) -> ElementSet:
     """Elements that can occur in a recovered premise concluding in `j`.
 
-    An element qualifies when adding it together with `j` to some member
-    avoiding both leaves a closed set.
+    An element a qualifies when X, a member of `j_up` plus `j` and a, is
+    closed: every element outside X is missed by some member containing
+    X, or, when none contains X, X is the whole ground set.  The test stops
+    at the first element outside X that every member containing X
+    contains, and skips the elements already found.
     """
     if not 0 <= j < m.ground.size:
         raise InputError(f"element position {j} outside the ground set")
     ix = _index(m)
+    cont, miss = ix.cont, ix.miss
     full = (1 << m.ground.size) - 1
     found = 0
     for member in j_up:
+        if member.universe is not m.ground and member.universe != m.ground:
+            raise InputError(f"member {member!r} lives on a different ground set")
         xmask = member.mask | 1 << j
         outside = full ^ xmask
-        found |= _closed_extensions(ix, outside, _containing(ix, xmask), outside & ~found)
+        s = _containing(ix, xmask)
+        for a in iter_bits(outside & ~found):
+            abit = 1 << a
+            c = s & cont[a]
+            if all(c & miss[b] for b in iter_bits(outside ^ abit)) if c else outside == abit:
+                found |= abit
     return ElementSet(m.ground, found)
 
 
@@ -302,11 +286,11 @@ def complement_hypergraph(
     if not 0 <= j < m.ground.size:
         raise InputError(f"element position {j} outside the ground set")
     j_up = tuple(j_up)
-    if not j_up:
-        raise InputError("complement hypergraph needs at least one avoiding member")
     keep = ((1 << m.ground.size) - 1) ^ 1 << j
     common = keep
     for member in j_up:
+        if member.universe is not m.ground and member.universe != m.ground:
+            raise InputError(f"member {member!r} lives on a different ground set")
         common &= member.mask
     edges = [ElementSet(m.ground, keep & ~member.mask) for member in j_up]
     return Hypergraph(ElementSet(m.ground, keep & ~common), edges)
@@ -385,7 +369,7 @@ def recover_critical_base(
     try:
         base = ImplicationalBase(m.ground, tuple(iter_recovered_implications(m)))
     except NotConvexGeometryError:
-        bogus = [member for member, _, added in _upper_covers(m) if not added] if strict else []
+        bogus = [member for member, added in _upper_covers(m) if not added] if strict else []
         if not bogus:
             raise
         raise InputError(

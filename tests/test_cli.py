@@ -195,6 +195,23 @@ class TestSid:
             "intersection closure, e.g. {}\n",
         )
 
+    def test_reducible_member_named_by_the_partition(self, capsys, tmp_path):
+        # {a} is the intersection of {a b c} and {a d}, the members above it.
+        f = tmp_path / "reducible.mf"
+        f.write_text("elements: a b c d\na b c\na\na d\nc d\n")
+        err = (
+            "precondition violated: not a convex-geometry meet family: member "
+            "{a} is the intersection of the members above it\n"
+        )
+        assert run(capsys, "sid", f) == (2, "elements: a b c d\n", err)
+        assert run(capsys, "oracle", "partition", f) == (2, "", err)
+        assert run(capsys, "sid", f, "--strict") == (
+            1,
+            "",
+            "error: 1 member(s) are not meet-irreducible in the family's "
+            "intersection closure, e.g. {a}\n",
+        )
+
     @pytest.mark.parametrize(
         "text, label",
         [("elements: a b\nb\n", "b"), ("elements: a b c\n", "a")],

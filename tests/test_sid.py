@@ -158,6 +158,25 @@ class TestPartitionMeets:
         with pytest.raises(NotConvexGeometryError):
             partition_meets(fam)
 
+    def test_reducible_member_rejected_as_an_intersection(self):
+        # {a} is the intersection of {a b c} and {a d}, the members above
+        # it, although {a d} is its one closed single-element extension.
+        base = make_base("a b c d", [])
+        fam = MeetFamily(base.ground, sets_of(base, "a b c", "a", "a d", "c d"))
+        with pytest.raises(NotConvexGeometryError) as raised:
+            partition_meets(fam)
+        assert str(raised.value) == (
+            "not a convex-geometry meet family: member {a} is the intersection "
+            "of the members above it"
+        )
+
+
+@pytest.fixture
+def foreign_block():
+    """A block whose member lives on a wider ground set than `layered`'s."""
+    ground = GroundSet("1 2 3 4 5 j k l".split())
+    return (ElementSet.from_labels(ground, ["k", "l"]),)
+
 
 class TestPredecessors:
     def test_layered_predecessors(self, layered, layered_meets):
@@ -186,6 +205,13 @@ class TestPredecessors:
     def test_empty_family_flagged(self, layered, layered_meets):
         pred = predecessors(layered_meets, layered.ground.position("j"), ())
         assert len(pred) == 0
+
+    def test_foreign_member_rejected(self, layered, layered_meets, foreign_block):
+        jpos = layered.ground.position("j")
+        with pytest.raises(InputError, match="different ground set"):
+            predecessors(layered_meets, jpos, foreign_block)
+        with pytest.raises(InputError, match="different ground set"):
+            list(recovered_premises(layered_meets, jpos, foreign_block))
 
 
 class TestComplementHypergraph:
@@ -216,6 +242,21 @@ class TestComplementHypergraph:
         sub = induced(complement_hypergraph(layered_meets, jpos, part[jpos]), pred)
         assert family(sub.reduced_edges()) == family(sets_of(layered, "4", "5"))
         assert [t.labels() for t in minimal_transversals(sub)] == [("4", "5")]
+
+    def test_empty_block_gives_the_edgeless_hypergraph(self):
+        # No member of `elements: a b` / `b` avoids b, so b's one premise
+        # is the empty set, the transversal of the edgeless hypergraph.
+        base = make_base("a b", [])
+        fam = MeetFamily(base.ground, sets_of(base, "b"))
+        b = base.ground.position("b")
+        hb = complement_hypergraph(fam, b, ())
+        assert hb.edges == () and hb.vertices.mask == 0
+        assert [t.mask for t in minimal_transversals(hb)] == [0]
+        assert list(recovered_premises(fam, b, ())) == [0]
+
+    def test_foreign_member_rejected(self, layered, layered_meets, foreign_block):
+        with pytest.raises(InputError, match="different ground set"):
+            complement_hypergraph(layered_meets, layered.ground.position("j"), foreign_block)
 
 
 class TestRecovery:
@@ -392,6 +433,12 @@ def partition_by_scan(fam):
     labels = fam.ground.labels
     part = {j: [] for j in range(fam.ground.size)}
     for member in fam:
+        # Reducible: the intersection of the members strictly above it.
+        if reduce(and_, extension_closures(fam, member.mask)) == member.mask:
+            raise NotConvexGeometryError(
+                f"not a convex-geometry meet family: member {member!r} is the "
+                "intersection of the members above it"
+            )
         candidates = list(iter_bits(closed_extensions_by_scan(fam, member.mask)))
         if len(candidates) != 1:
             named = ", ".join(labels[j] for j in candidates) or "none"
@@ -484,7 +531,7 @@ def assert_kernel_matches_scan(fam):
     assert part == outcome(partition_by_scan, fam)
     for j, j_up in enumerate(blocks(fam, part)):
         assert predecessors(fam, j, j_up) == predecessors_by_scan(fam, j, j_up)
-        if isinstance(part, dict) and j_up:
+        if isinstance(part, dict):
             assert list(recovered_premises(fam, j, j_up)) == premises_by_hypergraph(
                 fam, j, j_up
             )
@@ -628,10 +675,9 @@ def test_kernel_matches_scan_at_ladder_size():
     assert part == partition_by_scan(fam)
     for j, j_up in part.items():
         assert predecessors(fam, j, j_up) == predecessors_by_scan(fam, j, j_up)
-        if j_up:
-            assert list(recovered_premises(fam, j, j_up)) == premises_by_hypergraph(
-                fam, j, j_up
-            )
+        assert list(recovered_premises(fam, j, j_up)) == premises_by_hypergraph(
+            fam, j, j_up
+        )
 
 
 def test_roundtrip_at_4096_elements():
