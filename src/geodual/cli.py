@@ -110,13 +110,13 @@ def cmd_ccm(args) -> int:
 
 
 def cmd_sid(args) -> int:
+    """Stream the rules after the header; `--verify` writes only a whole base."""
     from .sid import MeetFamily, iter_recovered_implications, recover_critical_base
 
     ground, sets = formats.read_mf(args.file)
     family = MeetFamily(ground, sets)
-    if args.verify or args.strict:
-        base = recover_critical_base(family, verify=args.verify, strict=args.strict)
-        rules = base.implications
+    if args.verify:
+        rules = recover_critical_base(family, verify=True).implications
     else:
         rules = iter_recovered_implications(family)
     _write_lines(formats.imp_lines(ground, rules))
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sid", help="recover the critical base from a meet family")
     p.add_argument("file", help=".mf input")
     p.add_argument("--verify", action="store_true", help="recompute the meets of the output and compare")
-    p.add_argument("--strict", action="store_true", help="validate the input is genuinely meet-irreducible")
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sid)
 

@@ -190,29 +190,19 @@ def _common(ix: _Index, s: int, within: int) -> int:
     return sum(1 << b for b in iter_bits(within) if not s & ix.miss[b])
 
 
-def _upper_covers(m: MeetFamily) -> Iterator[tuple[ElementSet, int]]:
-    """Each member M in family order, with what the members strictly above
-    it add to M: their intersection, or the ground set if none, minus M.
-
-    That intersection lies inside every closed set strictly above M.  So
-    when it adds one element j to M, M plus j is the only closed
-    single-element extension of M; when it adds more, there is none; when
-    it adds nothing, M is the intersection of the members above it.
-    """
-    ix = _index(m)
-    full = (1 << m.ground.size) - 1
-    for i, member in enumerate(m.meets):
-        above = _containing(ix, member.mask) ^ 1 << i
-        yield member, _common(ix, above, full ^ member.mask)
-
-
 def partition_meets(m: MeetFamily) -> dict[int, tuple[ElementSet, ...]]:
     """Assign every member to the one element its unique cover adds.
 
     Returns, for each element position, the members so assigned (the
-    maximal closed sets avoiding that element).  A member to which the
-    members above it add no element or several disproves the
-    convex-geometry assumption and raises :class:`NotConvexGeometryError`.
+    maximal closed sets avoiding that element).  For each member M,
+    ``added`` is what the members strictly above it add to M: their
+    intersection, or the ground set if none, minus M.  That intersection
+    lies inside every closed set strictly above M.  So when it adds one
+    element j, M plus j is the only closed single-element extension of M;
+    when it adds more, there is none; when it adds nothing, M is the
+    intersection of the members above it.  A member to which the members
+    above it add no element or several disproves the convex-geometry
+    assumption and raises :class:`NotConvexGeometryError`.
 
     When the partition returns, every member is meet-irreducible.  Let L
     be the family's intersection closure plus the ground set; each
@@ -226,8 +216,12 @@ def partition_meets(m: MeetFamily) -> dict[int, tuple[ElementSet, ...]]:
     Y = cl(X + b) lies in M + b.  (3) ``added`` is empty iff M is the
     intersection of the members above it iff M is meet-reducible in L.
     """
+    ix = _index(m)
+    full = (1 << m.ground.size) - 1
     families: dict[int, list[ElementSet]] = {j: [] for j in range(m.ground.size)}
-    for member, added in _upper_covers(m):
+    for i, member in enumerate(m.meets):
+        above = _containing(ix, member.mask) ^ 1 << i
+        added = _common(ix, above, full ^ member.mask)
         if not added:
             raise NotConvexGeometryError(
                 f"not a convex-geometry meet family: member {member!r} is the "
@@ -235,8 +229,9 @@ def partition_meets(m: MeetFamily) -> dict[int, tuple[ElementSet, ...]]:
             )
         if added & (added - 1):
             raise NotConvexGeometryError(
-                f"not a convex-geometry meet family: member {member!r} stays "
-                "closed under 0 single-element extensions (none), expected exactly one"
+                f"not a convex-geometry meet family: member {member!r} has no "
+                "closed one-element extension: the members above it add "
+                f"{ElementSet(m.ground, added)!r}"
             )
         families[added.bit_length() - 1].append(member)
     return {j: tuple(fam) for j, fam in families.items()}
@@ -350,32 +345,17 @@ def iter_recovered_implications(
             yield Implication(ElementSet(u, mask), j)
 
 
-def recover_critical_base(
-    m: MeetFamily,
-    verify: bool = False,
-    strict: bool = False,
-) -> ImplicationalBase:
+def recover_critical_base(m: MeetFamily, verify: bool = False) -> ImplicationalBase:
     """Build the unit-minimum base whose meet-irreducible family is `m`.
 
     The input must be the meet family of a ranked convex geometry.  The
-    geometry is checked (:func:`iter_recovered_implications`); rankedness
-    is not decidable here in polynomial time, so by default it is trusted.
-    ``strict`` never changes a successful run (see
-    :func:`partition_meets`); on a failing one it reports a member equal to
-    the intersection of the members above it, if any, as an InputError.
-    With ``verify`` the meets of the recovered base are recomputed and
-    compared with `m`, raising :class:`VerificationError` on mismatch.
+    geometry is checked (:func:`iter_recovered_implications`), and a family
+    that fails raises :class:`NotConvexGeometryError`; rankedness is not
+    decidable here in polynomial time, so by default it is trusted.  With
+    ``verify`` the meets of the recovered base are recomputed and compared
+    with `m`, raising :class:`VerificationError` on mismatch.
     """
-    try:
-        base = ImplicationalBase(m.ground, tuple(iter_recovered_implications(m)))
-    except NotConvexGeometryError:
-        bogus = [member for member, added in _upper_covers(m) if not added] if strict else []
-        if not bogus:
-            raise
-        raise InputError(
-            f"{len(bogus)} member(s) are not meet-irreducible in the family's "
-            f"intersection closure, e.g. {bogus[0]!r}"
-        ) from None
+    base = ImplicationalBase(m.ground, tuple(iter_recovered_implications(m)))
     if verify:
         from .ccm import meet_irreducibles  # only `verify` needs ccm
 

@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from geodual import (
     meet_irreducibles,
 )
 from geodual.ccm import MeetsAvoiding
-from geodual.cli import main
+from geodual.cli import build_parser, main
 from geodual.hypergraphs import Hypergraph
 from geodual.oracle import (
     all_closed_sets,
@@ -146,9 +147,13 @@ class TestSid:
         assert code == 0
         assert "4 5 -> j" in out
 
-    def test_strict_flag(self, capsys, data_dir):
-        code, out, _ = run(capsys, "sid", data_dir / "layered.mf", "--strict")
-        assert code == 0
+    def test_strict_flag(self, data_dir):
+        # No `--strict`: a family the partition accepts has only
+        # meet-irreducible members, so there is nothing left to check.
+        proc = _run_cli(["sid", data_dir / "layered.mf", "--strict"], "utf-8")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert b"unrecognized arguments: --strict" in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
     def test_parse_error_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.mf"
@@ -164,36 +169,28 @@ class TestSid:
         assert out == formats.format_imp(expected)
 
     def test_non_geometry_exits_2(self, capsys, tmp_path):
+        # No member lies above {1}, so the ground set adds 2 and 3 to it.
         f = tmp_path / "nongeo.mf"
         f.write_text("elements: 1 2 3\n1\n.\n")
-        code, _, err = run(capsys, "sid", f)
-        assert code == 2
-        assert "member {1}" in err
-
-    def test_strict_rejects_reducible_member(self, capsys, data_dir, tmp_path):
-        # {3 5} is the intersection of the members {1 3 5} and {2 3 5}.
-        f = tmp_path / "reducible.mf"
-        f.write_text((data_dir / "layered.mf").read_text() + "3 5\n")
-        code, _, err = run(capsys, "sid", f, "--strict")
-        assert code == 1
-        assert err.startswith("error: 1 member(s) are not meet-irreducible")
+        err = (
+            "precondition violated: not a convex-geometry meet family: member "
+            "{1} has no closed one-element extension: the members above it add "
+            "{2 3}\n"
+        )
+        assert run(capsys, "sid", f) == (2, "elements: 1 2 3\n", err)
+        assert run(capsys, "sid", f, "--verify") == (2, "", err)
+        assert run(capsys, "oracle", "partition", f) == (2, "", err)
 
     def test_strict_reports_a_reducible_member_before_the_partition_error(
         self, capsys, tmp_path
     ):
         # The partition stops at {a}, which has no closed extension and is
-        # irreducible; {} is the intersection of {a} and {b}.
+        # irreducible, before it reaches {}, the intersection of {a} and {b}.
         f = tmp_path / "precedence.mf"
         f.write_text("elements: a b c\na\n.\nb\n")
         code, _, err = run(capsys, "sid", f)
         assert code == 2
         assert "member {a}" in err
-        assert run(capsys, "sid", f, "--strict") == (
-            1,
-            "",
-            "error: 1 member(s) are not meet-irreducible in the family's "
-            "intersection closure, e.g. {}\n",
-        )
 
     def test_reducible_member_named_by_the_partition(self, capsys, tmp_path):
         # {a} is the intersection of {a b c} and {a d}, the members above it.
@@ -205,12 +202,6 @@ class TestSid:
         )
         assert run(capsys, "sid", f) == (2, "elements: a b c d\n", err)
         assert run(capsys, "oracle", "partition", f) == (2, "", err)
-        assert run(capsys, "sid", f, "--strict") == (
-            1,
-            "",
-            "error: 1 member(s) are not meet-irreducible in the family's "
-            "intersection closure, e.g. {a}\n",
-        )
 
     @pytest.mark.parametrize(
         "text, label",
@@ -228,7 +219,6 @@ class TestSid:
         )
         header = text.splitlines()[0] + "\n"
         assert run(capsys, "sid", f) == (2, header, err)
-        assert run(capsys, "sid", f, "--strict") == (2, "", err)
         assert run(capsys, "sid", f, "--verify") == (2, "", err)
 
     def test_verify_exits_3_on_an_unranked_family(self, capsys, tmp_path, uneven):
@@ -251,7 +241,6 @@ class TestSid:
         f.write_text(formats.format_mf(ground, coatoms))
         header = "elements: " + " ".join(ground.labels) + "\n"
         assert run(capsys, "sid", f) == (0, header, "")
-        assert run(capsys, "sid", f, "--strict") == (0, header, "")
 
 
 class TestCriticalBase:
@@ -727,9 +716,6 @@ def _conflict_lines(base):
 STDOUT_CASES = [
     ("sid {mf}", 0, lambda b, c, f: _imp_lines(f.ground, iter_recovered_implications(f))),
     ("sid {mf} --verify", 0, lambda b, c, f: _base_lines(recover_critical_base(f, verify=True))),
-    ("sid {mf} --strict", 0, lambda b, c, f: _base_lines(recover_critical_base(f, strict=True))),
-    ("sid {mf} --strict --verify", 0, lambda b, c, f: _base_lines(
-        recover_critical_base(f, verify=True, strict=True))),
     ("critical-base {imp}", 0, lambda b, c, f: _base_lines(critical_base(b))),
     ("rank-check {imp}", 0, lambda b, c, f: [
         "ranked", *(f"{label}={rank}" for label, rank in _ranks(b).items())]),
@@ -1183,3 +1169,20 @@ def test_translation_commands_load_only_what_they_run(data_dir, command, flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[]"
+
+
+def test_readme_command_lines_parse():
+    # Every `geodual ...` line of the README's command block, its `\`
+    # continuations joined and its comments stripped, is one the parser
+    # accepts, so the README lists no option the command line lacks.
+    readme = (SRC.parent / "README.md").read_text("utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["geodual"]]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line rejected: geodual {shlex.join(argv)}")

@@ -40,7 +40,6 @@ from geodual.oracle import (
 )
 from geodual.sets import iter_bits
 from geodual.sid import (
-    _upper_covers,
     closure_from_meets_mask,
     iter_recovered_implications,
     recovered_premises,
@@ -285,25 +284,8 @@ class TestRecovery:
         # {3 5} is the intersection of {1 3 5} and {2 3 5}: not meet-irreducible
         extra = ElementSet.from_labels(layered.ground, ["3", "5"])
         fam = MeetFamily(layered.ground, layered_meets.meets + (extra,))
-        with pytest.raises(InputError):
-            recover_critical_base(fam, strict=True)
-        rec = recover_critical_base(layered_meets, strict=True)
-        assert set(rec.implications) == set(layered.implications)
-
-    def test_strict_adds_no_pass_when_the_partition_succeeds(self, monkeypatch):
-        # A family that `partition_meets` accepts has no reducible member, so
-        # `strict` looks for one only once the partition has failed.
-        fam = layered_meet_family(4, 8, 3, 2, seed=9)
-        calls = []
-
-        def counted(m):
-            calls.append(m)
-            return _upper_covers(m)
-
-        monkeypatch.setattr("geodual.sid._upper_covers", counted)
-        strict = recover_critical_base(fam, strict=True)
-        assert len(calls) == 1
-        assert strict.implications == recover_critical_base(fam).implications
+        with pytest.raises(NotConvexGeometryError, match=r"member \{3 5\} is the intersection"):
+            recover_critical_base(fam)
 
     def test_uneven_oracle_experiment(self, uneven):
         """Unranked input for which the recovery still works end to end."""
@@ -409,8 +391,8 @@ def extension_closures(fam, xmask):
 
     Entry a is the intersection of the members containing both `xmask`
     and a, or the whole ground set when none does; positions inside
-    `xmask` get the whole ground set.  This scan drove partition,
-    predecessors and --strict before the member index.
+    `xmask` get the whole ground set.  This scan drove the partition and
+    predecessors before the member index.
     """
     n = fam.ground.size
     closures = [(1 << n) - 1] * n
@@ -430,22 +412,22 @@ def closed_extensions_by_scan(fam, xmask):
 
 
 def partition_by_scan(fam):
-    labels = fam.ground.labels
     part = {j: [] for j in range(fam.ground.size)}
     for member in fam:
-        # Reducible: the intersection of the members strictly above it.
-        if reduce(and_, extension_closures(fam, member.mask)) == member.mask:
+        # What the members strictly above it add: the intersection of its
+        # extensions' closures, minus the member.  Nothing when reducible.
+        added = reduce(and_, extension_closures(fam, member.mask)) & ~member.mask
+        if not added:
             raise NotConvexGeometryError(
                 f"not a convex-geometry meet family: member {member!r} is the "
                 "intersection of the members above it"
             )
         candidates = list(iter_bits(closed_extensions_by_scan(fam, member.mask)))
         if len(candidates) != 1:
-            named = ", ".join(labels[j] for j in candidates) or "none"
             raise NotConvexGeometryError(
-                f"not a convex-geometry meet family: member {member!r} stays "
-                f"closed under {len(candidates)} single-element extensions "
-                f"({named}), expected exactly one"
+                f"not a convex-geometry meet family: member {member!r} has no "
+                "closed one-element extension: the members above it add "
+                f"{ElementSet(fam.ground, added)!r}"
             )
         part[candidates[0]].append(member)
     return {j: tuple(block) for j, block in part.items()}
@@ -456,21 +438,6 @@ def predecessors_by_scan(fam, j, j_up):
     for member in j_up:
         found |= closed_extensions_by_scan(fam, member.mask | 1 << j)
     return ElementSet(fam.ground, found)
-
-
-def strict_recovery_by_scan(fam):
-    # A member is reducible when it equals the intersection of the members
-    # strictly above it, which is that of its extensions' closures.
-    bogus = [
-        member for member in fam
-        if reduce(and_, extension_closures(fam, member.mask)) == member.mask
-    ]
-    if bogus:
-        raise InputError(
-            f"{len(bogus)} member(s) are not meet-irreducible in the family's "
-            f"intersection closure, e.g. {bogus[0]!r}"
-        )
-    return recover_critical_base(fam)
 
 
 def closed_extensions(fam, s):
@@ -500,14 +467,6 @@ def predecessors_by_definition(fam, j, j_up):
     return ElementSet(fam.ground, found)
 
 
-def strict_recovery_by_definition(fam, irreducible):
-    """`irreducible` holds the meet-irreducible masks of the intersection
-    closure of `fam`."""
-    if any(member.mask not in irreducible for member in fam):
-        raise InputError("a member is meet-reducible")
-    return recover_critical_base(fam)
-
-
 def blocks(fam, part):
     """The members avoiding each element: the partition's blocks when there
     is one, else every member avoiding it."""
@@ -524,7 +483,7 @@ def premises_by_hypergraph(fam, j, j_up):
 
 
 def assert_kernel_matches_scan(fam):
-    """Partition, predecessors and --strict give what the family scan gives,
+    """Partition and predecessors give what the family scan gives,
     error messages included, and the premise step on masks gives the paper's
     premises in order; returns the partition's outcome."""
     part = outcome(partition_meets, fam)
@@ -535,28 +494,40 @@ def assert_kernel_matches_scan(fam):
             assert list(recovered_premises(fam, j, j_up)) == premises_by_hypergraph(
                 fam, j, j_up
             )
-    assert outcome(recover_critical_base, fam, strict=True) == outcome(
-        strict_recovery_by_scan, fam
-    )
     return part
 
 
 def assert_kernel_matches_definitions(fam, closed=None):
+    """`closed` is the intersection closure L of `fam` with the top."""
+    full = (1 << fam.ground.size) - 1
     if closed is None:
         closed = intersection_closure(fam.ground, fam.meets)
-    irreducible = set(family_meet_masks(closed, (1 << fam.ground.size) - 1))
+    irreducible = set(family_meet_masks(closed, full))
     part = assert_kernel_matches_scan(fam)
     by_definition = outcome(partition_by_definition, fam)
     assert without_message(part) == without_message(by_definition)
     if isinstance(part, dict):
         # The lemma of `partition_meets`: a family it accepts holds only
-        # meet-irreducible members, so `--strict` has nothing left to find.
+        # meet-irreducible members.
         assert all(member.mask in irreducible for member in fam)
     for j, j_up in enumerate(blocks(fam, part)):
         assert predecessors(fam, j, j_up) == predecessors_by_definition(fam, j, j_up)
-    strict = outcome(recover_critical_base, fam, strict=True)
-    by_definition = outcome(strict_recovery_by_definition, fam, irreducible)
-    assert without_message(strict) == without_message(by_definition)
+    # Recovery accepts exactly the meet families of convex geometries: L
+    # holds the empty set, every X in L below the top has some X + a in L,
+    # and the meet-irreducibles of L are the members.
+    in_closure = set(closed)
+    is_geometry = (
+        0 in in_closure
+        and all(
+            any(x | 1 << a in in_closure for a in iter_bits(full & ~x))
+            for x in in_closure - {full}
+        )
+        and irreducible == {member.mask for member in fam}
+    )
+    recovered = outcome(recover_critical_base, fam)
+    assert isinstance(recovered, Raised) != is_geometry
+    if isinstance(recovered, Raised):
+        assert recovered.type is NotConvexGeometryError
 
 
 @st.composite
