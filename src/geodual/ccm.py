@@ -125,9 +125,9 @@ def maximal_avoiding_sets(
     if c.mask & b.members.mask:
         raise PreconditionError("the accumulated region must avoid the target set")
     streams = MeetsAvoiding(base, rho)
-    for block in streams._recurse(b.members.mask, b.rank, c.mask):
-        for mask in block:
-            yield ElementSet(base.ground, mask)
+    for cmask, branches in streams._recurse(b.members.mask, b.rank, c.mask):
+        for s in branches:
+            yield ElementSet(base.ground, cmask | s)
 
 
 def ranked(base: ImplicationalBase) -> RankFunction:
@@ -145,25 +145,31 @@ def ranked(base: ImplicationalBase) -> RankFunction:
 class MeetsAvoiding:
     """The meets of one ranked base, element by element.
 
-    Called with an element j, it streams the masks of the maximal closed
-    sets avoiding j in blocks: one nonempty list per recursion node whose
-    children are leaves, or ``[mask]`` alone when j has the top rank.
-    `rho` must be a valid rank function of `base`, such as the one
-    :func:`ranked` returns.  The branches of a recursion node
-    depend only on the avoided set B and its rank, not on the region
-    gathered so far, and the same (B, rank) comes up again across
-    branches and elements: each instance dualizes its level hypergraph
-    once and keeps the branches for every later call.  Keep one instance
-    per base and backend.
+    Called with an element j, it streams the maximal closed sets avoiding
+    j in blocks, one per recursion node whose children are leaves: a pair
+    ``(cmask, branches)`` whose meets are ``cmask | s`` for each mask `s`
+    of the nonempty list `branches`, in order.  `cmask` is the region the
+    node has gathered, below the top rank, and `branches` is the memo's
+    own list of the node's top-rank branches, shared by every node with
+    the same (B, rank): read it, never change it.  When j has the top
+    rank, its one meet comes as ``(cmask, [0])``.  `rho` must be a valid
+    rank function of `base`, such as the one :func:`ranked` returns.  The
+    branches of a recursion node depend only on the avoided set B and its
+    rank, not on the region gathered so far, and the same (B, rank) comes
+    up again across branches and elements: each instance dualizes its
+    level hypergraph once and keeps the branches for every later call.
+    Keep one instance per base and backend.
 
     The walk keeps the nodes still to visit on an explicit stack rather
     than in nested generators: a node pushes its children in reverse
     branch order, so they are popped, and their meets streamed, in the
-    order of the recursion, and a node one rank below the top yields
-    its leaves' regions as one list.  A meet then costs a pop, not a
-    resume of every generator on its path, and a block is complete before
-    the walk does any more work, so a caller that writes each block as it
-    comes keeps the stream as prompt as one write per meet would.
+    order of the recursion.  A node costs a pop, not a resume of every
+    generator on its path, and a block costs no work per meet, so a
+    caller can format it from the shared `branches` (the CLI keeps the
+    joined labels of a list that comes up again).  A block is complete
+    before the walk does any more work, so a caller that writes each
+    block as it comes keeps the stream as prompt as one write per meet
+    would.
     """
 
     def __init__(
@@ -180,14 +186,15 @@ class MeetsAvoiding:
         self._by_conclusion = _premises_by_conclusion(base)
         self._branches: dict[tuple[int, int], list[int]] = {}
 
-    def __call__(self, j: int) -> Iterator[list[int]]:
+    def __call__(self, j: int) -> Iterator[tuple[int, list[int]]]:
         rank, bit = self.rho.ranks[j], 1 << j
         return self._recurse(bit, rank, self._prefixes[rank] & ~bit)
 
-    def _recurse(self, bmask: int, rank: int, cmask: int) -> Iterator[list[int]]:
+    def _recurse(self, bmask: int, rank: int, cmask: int) -> Iterator[tuple[int, list[int]]]:
         """Maximal closed supersets of `cmask` avoiding `bmask`, whose
         members all have rank `rank`, ranks above it still open: one block
-        per node whose children are leaves, and ``[cmask]`` at the top rank."""
+        ``(region, branches)`` per node whose children are leaves, and
+        ``(cmask, [0])`` when `rank` is the top rank."""
         prefixes, memo = self._prefixes, self._branches
         top = len(prefixes) - 1
         # Nodes (B, rank, C) still to visit, the next one last.
@@ -196,7 +203,7 @@ class MeetsAvoiding:
         while stack:
             bmask, rank, cmask = pop()
             if rank >= top:
-                yield [cmask]
+                yield cmask, [0]
                 continue
             up = prefixes[rank + 1] & ~prefixes[rank]
             # Keyed by the rank too: an empty B occurs at any rank.
@@ -209,7 +216,7 @@ class MeetsAvoiding:
             if rank == top:
                 # The children are leaves: their regions are one block.
                 if branches:
-                    yield [cmask | s for s in branches]
+                    yield cmask, branches
             else:
                 push([(up & ~s, rank, cmask | s) for s in reversed(branches)])
 
@@ -228,6 +235,6 @@ def meet_irreducibles(
     streams = MeetsAvoiding(base, ranked(base), backend)
     u = base.ground
     for j in range(u.size):
-        for block in streams(j):
-            for mask in block:
-                yield j, ElementSet(u, mask)
+        for cmask, branches in streams(j):
+            for s in branches:
+                yield j, ElementSet(u, cmask | s)

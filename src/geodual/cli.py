@@ -33,7 +33,6 @@ from . import formats
 from .errors import (
     GeodualError,
     InputError,
-    NotRankedError,
     PreconditionError,
     VerificationError,
 )
@@ -80,31 +79,72 @@ def _json_items(ground):
     return lambda mask: join(mask).replace(" ", ", ")
 
 
+class _BlockText:
+    """The text of `ccm`'s blocks: each meet of a block ``(cmask, branches)``
+    of `MeetsAvoiding` as the line ``f"{lead}{join(mask) or empty}{end}"``,
+    with the lead of the block's element, the lines joined by ``"\\n"``.
+
+    Every branch lies on the top rank, so when the region `cmask` is
+    nonempty and lies wholly below `top_bit`, the bit of the first top-rank
+    position, each line is the region's labels, then `space`, then the
+    branch's labels.  The block is then one head, joined once, before each
+    branch's labels, put together by one C-level join:
+    ``head + sep.join(tails)``.  The tails of a branch list are kept from
+    the list's second use on, keyed by the list, which the walk's memo
+    shares among every node with the same (B, rank): a list used once, as
+    every list of a two-level base is, is joined and dropped, so the tails
+    held grow only with the memo's reuse.  Any other block, one with an
+    empty region, an empty branch or a region that reaches past a top-rank
+    position, is joined meet by meet, with the same bytes.
+    """
+
+    def __init__(self, join, space: str, empty: str, end: str, top_bit: int):
+        self.join, self.space, self.empty, self.end = join, space, empty, end
+        self.top_bit = top_bit
+        # id(branches) -> (branches, their tails from the second use on, or None)
+        self.tails: dict[int, tuple[list[int], list[str] | None]] = {}
+
+    def __call__(self, lead: str, block: tuple[int, list[int]]) -> str:
+        cmask, branches = block
+        join, end = self.join, self.end
+        if 0 < cmask < self.top_bit and branches[0]:
+            seen = self.tails.get(id(branches))
+            if seen is None or seen[1] is None:
+                tails = list(map(join, branches))
+                self.tails[id(branches)] = (branches, None if seen is None else tails)
+            else:
+                tails = seen[1]
+            head = f"{lead}{join(cmask)}{self.space}"
+            return head + f"{end}\n{head}".join(tails) + end
+        empty = self.empty
+        return "\n".join([f"{lead}{join(cmask | s) or empty}{end}" for s in branches])
+
+
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_ccm(args) -> int:
+    """Stream the meets of a ranked base, one item of `_write_lines` per
+    block of the walk: its lines are formatted, encoded, written and
+    flushed together, as soon as the walk has them.  Plain, `--by-element`
+    and `--json` lines differ only in the lead before the labels, the
+    text after them, the join of a set and the text of the empty set, so
+    one `_BlockText` formats them all."""
     from .ccm import MeetsAvoiding, ranked
 
     base = formats.read_imp(args.file)
-    ground = base.ground
-    meets_avoiding = MeetsAvoiding(base, ranked(base))
-    elements, labels = range(ground.size), ground.labels
-    # One item per block of meets: its lines are formatted, encoded, written
-    # and flushed together, as soon as the walk has them.
+    ground, rho = base.ground, ranked(base)
+    meets_avoiding = MeetsAvoiding(base, rho)
+    top = rho.level_mask(rho.max_rank)
     if args.json:
         items = _json_items(ground)
-        heads = [f'{{"element": {items(1 << j)}, "meet": [' for j in elements]
-        _write_lines(
-            "\n".join([f"{head}{items(mask)}]}}" for mask in block])
-            for j, head in enumerate(heads) for block in meets_avoiding(j)
-        )
-        return 0
-    prefixes = [f"{label}: " for label in labels] if args.by_element else [""] * ground.size
-    join, empty = ground.join_labels, formats.EMPTY_SET_TOKEN
+        text = _BlockText(items, ", ", "", "]}", top & -top)
+        leads = [f'{{"element": {items(1 << j)}, "meet": [' for j in range(ground.size)]
+    else:
+        text = _BlockText(ground.join_labels, " ", formats.EMPTY_SET_TOKEN, "", top & -top)
+        leads = [f"{label}: " if args.by_element else "" for label in ground.labels]
     _write_lines(
-        "\n".join([f"{prefix}{join(mask) or empty}" for mask in block])
-        for j, prefix in enumerate(prefixes) for block in meets_avoiding(j)
+        text(lead, block) for j, lead in enumerate(leads) for block in meets_avoiding(j)
     )
     return 0
 
@@ -397,8 +437,6 @@ def main(argv=None) -> int:
         return 3
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
-        if isinstance(exc, NotRankedError) and exc.conflict is not None:
-            print(exc.conflict.describe(), file=sys.stderr)
         return 2
     except GeodualError as exc:  # InputError, and any subtype added later
         print(f"error: {exc}", file=sys.stderr)

@@ -304,12 +304,13 @@ def test_memoized_recursion_matches_definition(seed):
 def recursive_walk(streams, bmask, rank, cmask):
     """The walk of `MeetsAvoiding` written as nested generators, one per
     node, with the instance's memo: the reference for its explicit stack.
-    It yields one list per node whose children are leaves, their regions
-    in branch order (empty for a node with no branches), and ``[cmask]``
-    for a node at the top rank, which has no children."""
+    It yields ``(cmask, branches)`` for each node whose children are
+    leaves, `branches` being the memo's list of the node's branches in
+    order (empty for a node with no branches), and ``(cmask, [0])`` for a
+    node at the top rank, which has no children."""
     prefixes = streams._prefixes
     if rank + 1 >= len(prefixes):
-        yield [cmask]
+        yield cmask, [0]
         return
     up = prefixes[rank + 1] & ~prefixes[rank]
     branches = streams._branches.get((bmask, rank))
@@ -318,14 +319,14 @@ def recursive_walk(streams, bmask, rank, cmask):
         branches = independent_masks(up, premises, streams.backend)
         streams._branches[bmask, rank] = branches
     if rank + 2 >= len(prefixes):
-        yield [cmask | s for s in branches]
+        yield cmask, branches
         return
     for s in branches:
         yield from recursive_walk(streams, up & ~s, rank + 1, cmask | s)
 
 
 def flat(blocks):
-    return [mask for block in blocks for mask in block]
+    return [cmask | s for cmask, branches in blocks for s in branches]
 
 
 def assert_walks_agree(base, backend=None):
@@ -339,7 +340,12 @@ def assert_walks_agree(base, backend=None):
         blocks = list(streams(j))
         assert flat(blocks) == flat(nodes), j
         # Each block is nonempty and holds the leaves of one node.
-        assert all(blocks) and blocks == [leaves for leaves in nodes if leaves], j
+        assert all(branches for _, branches in blocks), j
+        assert blocks == [node for node in nodes if node[1]], j
+        # Below the top rank, a block's branches are the memo's own list.
+        memo = [id(branches) for branches in streams._branches.values()]
+        if rank < rho.max_rank:
+            assert all(id(branches) in memo for _, branches in blocks), j
     assert streams._branches == reference._branches
 
 

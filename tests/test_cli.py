@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
 import ast
+import io
 import json
 import os
 import random
@@ -17,6 +18,7 @@ from conftest import DATA, layered_base
 from geodual import (
     ElementSet,
     GroundSet,
+    Implication,
     ImplicationalBase,
     critical_base,
     formats,
@@ -24,7 +26,7 @@ from geodual import (
     meet_irreducibles,
 )
 from geodual.ccm import MeetsAvoiding
-from geodual.cli import build_parser, main
+from geodual.cli import _BlockText, build_parser, main
 from geodual.hypergraphs import Hypergraph
 from geodual.oracle import (
     all_closed_sets,
@@ -110,15 +112,7 @@ class TestCcm:
             # in blocks of up to a dozen lines.
             path = tmp_path / name
             formats.write_imp(layered_base(6, 8, 3, 2, seed=0), path)
-        base = formats.read_imp(path)
-        labels = base.ground.labels
-        lines = []
-        for j, m in meet_irreducibles(base):
-            if option == "--json":
-                lines.append(json.dumps({"element": labels[j], "meet": list(m.labels())}))
-            else:
-                prefix = f"{labels[j]}: " if option else ""
-                lines.append(prefix + (" ".join(m.labels()) or "."))
+        lines = _ccm_lines(formats.read_imp(path), option)
         argv = [sys.executable, "-m", "geodual.cli", "ccm", str(path)]
         proc = subprocess.run(
             argv + ([option] if option else []),
@@ -803,9 +797,24 @@ def test_unencodable_labels_exit_1(unicode_inputs, command):
     proc.stdout.decode("ascii")  # only whole lines that ASCII holds
 
 
+def _ccm_line(option, labels, j, meet):
+    """The line `geodual ccm` writes for the meet `meet` avoiding `j`,
+    formatted meet by meet: the reference for its block formatter."""
+    if option == "--json":
+        return json.dumps({"element": labels[j], "meet": list(meet.labels())})
+    return (f"{labels[j]}: " if option else "") + (meet.universe.join_labels(meet.mask) or ".")
+
+
+def _ccm_lines(base, option):
+    labels = base.ground.labels
+    return [_ccm_line(option, labels, j, meet) for j, meet in meet_irreducibles(base)]
+
+
 # `x` avoids the maximal independent sets of its premises, one block of
-# three lines: "a c", "b c", then "é".
+# three lines: "a c", "b c", then "é".  The block's region is empty; in
+# `HEADED_BLOCK_IMP` it is "w", which precedes every top-rank position.
 BLOCK_IMP = "elements: x a b c é\na é -> x\nb é -> x\nc é -> x\na b -> x\n"
+HEADED_BLOCK_IMP = "elements: x w a b c é\na é -> x\nb é -> x\nc é -> x\na b -> x\n"
 
 
 @pytest.mark.parametrize("prefix", ["", "x: "], ids=["plain", "by-element"])
@@ -815,7 +824,7 @@ def test_unencodable_line_keeps_the_lines_before_it(tmp_path, prefix):
     base = formats.read_imp(path)
     lines = [prefix + " ".join(m.labels()) for j, m in meet_irreducibles(base) if j == 0]
     assert lines == [prefix + "a c", prefix + "b c", prefix + "é"]
-    assert [len(block) for block in MeetsAvoiding(base, compute_rank(base))(0)] == [3]
+    assert [len(branches) for _, branches in MeetsAvoiding(base, compute_rank(base))(0)] == [3]
     proc = _run_cli(["ccm", path, *(["--by-element"] if prefix else [])], "ascii")
     assert proc.returncode == 1
     assert proc.stderr == b"error: stdout cannot encode '\\xe9' in ascii\n"
@@ -831,19 +840,14 @@ def test_ccm_flushes_each_block_before_the_walk_goes_on(monkeypatch, data_dir, n
     base = formats.read_imp(path)
     labels = base.ground.labels
 
-    def line(j, mask):
-        meet = ElementSet(base.ground, mask)
-        if option == "--json":
-            return json.dumps({"element": labels[j], "meet": list(meet.labels())})
-        return (f"{labels[j]}: " if option else "") + (" ".join(meet.labels()) or ".")
-
     # Each request for a block, then the block's write and flush.
     streams = MeetsAvoiding(base, compute_rank(base))
     expected = []
     for j in range(base.ground.size):
-        for block in streams(j):
-            assert block
-            text = "".join(line(j, mask) + "\n" for mask in block)
+        for cmask, branches in streams(j):
+            assert branches
+            meets = (ElementSet(base.ground, cmask | s) for s in branches)
+            text = "".join(_ccm_line(option, labels, j, meet) + "\n" for meet in meets)
             expected += [("next", j), ("write", text.encode()), ("flush",)]
         expected.append(("next", j))
 
@@ -870,6 +874,114 @@ def test_ccm_flushes_each_block_before_the_walk_goes_on(monkeypatch, data_dir, n
     assert log == expected
     writes = [entry[1] for entry in log if entry[0] == "write"]
     assert all(not data.startswith(b"\n") and b"\n\n" not in data for data in writes)
+
+
+@pytest.mark.parametrize("option", [None, "--by-element", "--json"])
+@pytest.mark.parametrize("imp", [BLOCK_IMP, HEADED_BLOCK_IMP], ids=["empty-head", "head"])
+def test_unencodable_block_matches_per_meet_lines(tmp_path, imp, option):
+    """Under ASCII, `ccm` writes the per-meet lines before the first one
+    with "é", then exits 1 with one stderr line; JSON escapes "é"."""
+    path = tmp_path / "block.imp"
+    path.write_text(imp, "utf-8")
+    base = formats.read_imp(path)
+    assert [len(branches) for _, branches in MeetsAvoiding(base, compute_rank(base))(0)] == [3]
+    lines = _ccm_lines(base, option)
+    proc = _run_cli(["ccm", path, *([option] if option else [])], "ascii")
+    bad = next((i for i, line in enumerate(lines) if not line.isascii()), len(lines))
+    assert proc.stdout == "".join(line + "\n" for line in lines[:bad]).encode("ascii")
+    if option == "--json":
+        assert (proc.returncode, proc.stderr, bad) == (0, b"", len(lines))
+    else:
+        assert (proc.returncode, bad) == (1, 2)
+        assert proc.stderr == b"error: stdout cannot encode '\\xe9' in ascii\n"
+
+
+def _permuted(base, rng):
+    """`base` with its ground set in a random order, so that the positions
+    of each rank interleave."""
+    order = rng.sample(range(base.ground.size), base.ground.size)
+    ground = GroundSet(base.ground.labels[p] for p in order)
+    where = {p: i for i, p in enumerate(order)}
+    return ImplicationalBase(ground, [
+        Implication(ElementSet.of(ground, [where[p] for p in rule.premise]), where[rule.conclusion])
+        for rule in base.implications
+    ])
+
+
+@pytest.mark.parametrize("option", [None, "--by-element", "--json"])
+def test_ccm_blocks_match_per_meet_lines(monkeypatch, tmp_path, option):
+    """`ccm`'s block formatter writes the bytes of one `join_labels` or
+    `json.dumps` line per meet, whichever way the block is joined: on
+    random ranked bases, whose ranks interleave in the ground set, on a
+    layered base in rank order and permuted, and on blocks with an empty
+    region or an empty branch."""
+    rng = random.Random(5)
+    layered = layered_base(4, 6, 3, 2, seed=1)
+    bases = {
+        **{f"random-{seed}": random_ranked_base(random.Random(seed), 12, 24) for seed in range(30)},
+        "layered": layered,
+        "layered-permuted": _permuted(layered, rng),
+        "empty-head": formats.parse_imp(BLOCK_IMP),
+        "empty-tail": formats.parse_imp("elements: w x a\na -> x\n"),
+    }
+    # How each block is joined, per `_BlockText`: a head before each branch
+    # when its region is nonempty and before every top-rank position.
+    joined = {"head": 0, "empty head": 0, "empty tail": 0, "interleaved": 0}
+    for name, base in bases.items():
+        path = tmp_path / f"{name}.imp"
+        formats.write_imp(base, path)
+        out = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8"))
+        code = main(["ccm", str(path), *([option] if option else [])])
+        expected = "".join(line + "\n" for line in _ccm_lines(base, option))
+        assert (code, out.getvalue()) == (0, expected.encode()), name
+        rho = compute_rank(base)
+        top = rho.level_mask(rho.max_rank)
+        streams = MeetsAvoiding(base, rho)
+        for j in range(base.ground.size):
+            for cmask, branches in streams(j):
+                way = ("empty head" if not cmask else "empty tail" if not branches[0]
+                       else "head" if cmask < top & -top else "interleaved")
+                joined[way] += 1
+    assert all(joined.values()), joined
+
+
+def test_block_text_keeps_the_tails_of_a_list_from_its_second_use():
+    ground = GroundSet("a b c d".split())
+    joins = []
+
+    def join(mask):
+        joins.append(mask)
+        return ground.join_labels(mask)
+
+    text = _BlockText(join, " ", ".", "!", 0b0100)
+    branches = [0b0100, 0b1000]
+    assert text("", (0b0011, branches)) == "a b c!\na b d!"
+    assert text.tails == {id(branches): (branches, None)}
+    assert text("> ", (0b0010, branches)) == "> b c!\n> b d!"
+    assert text.tails == {id(branches): (branches, ["c", "d"])}
+    joins.clear()
+    assert text("", (0b0001, branches)) == "a c!\na d!"
+    assert joins == [0b0001]
+    # A region past the first top-rank position is joined meet by meet.
+    assert text("", (0b1001, [0b0100])) == "a c d!"
+    assert len(text.tails) == 1
+
+
+@pytest.mark.parametrize("levels, kept", [(2, False), (4, True)])
+def test_block_text_keeps_no_tails_of_a_list_used_once(levels, kept):
+    """On a two-level base every branch list feeds one block, and none of
+    their tails is kept; a deeper base reuses its lists."""
+    base = layered_base(levels, 8, 3, 2, seed=0)
+    rho = compute_rank(base)
+    top = rho.level_mask(rho.max_rank)
+    text = _BlockText(base.ground.join_labels, " ", ".", "", top & -top)
+    streams = MeetsAvoiding(base, rho)
+    for j in range(base.ground.size):
+        for block in streams(j):
+            text("", block)
+    assert len(text.tails) >= 8
+    assert any(tails is not None for _, tails in text.tails.values()) == kept
 
 
 def test_cli_imports_no_private_names():
@@ -1186,3 +1298,68 @@ def test_readme_command_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README line rejected: geodual {shlex.join(argv)}")
+
+
+@pytest.mark.parametrize("command", ["ccm", "roundtrip"])
+def test_rank_conflict_is_one_stderr_line(capsys, tmp_path, command):
+    # `c -> a` is entailed, but `c` cannot have rank 4 and rank 5 at once.
+    path = tmp_path / "entailed.imp"
+    path.write_text("elements: a b c\nb -> a\nc -> b\nc -> a\n")
+    assert run(capsys, command, path) == (
+        2,
+        "",
+        "precondition violated: base is not ranked: element 'c' would need rank 4 "
+        "and rank 5; forced by c -> a and c -> b\n",
+    )
+
+
+# The translation commands, by the input suffix they read.
+FUZZ_COMMANDS = {
+    ".imp": (["ccm"], ["ccm", "--by-element"], ["ccm", "--json"], ["critical-base"],
+             ["rank-check"], ["roundtrip"]),
+    ".mf": (["sid"],),
+    ".hg": (["sid"],),
+}
+FUZZ_TOKENS = ("->", ".", "#", "elements:", "vertices:", "a", "1", "j", "é", "\x00", "99")
+
+
+def _mutant(rng, data):
+    """`data` after one to three random edits: a line deleted, repeated or
+    swapped, a token deleted or inserted, or a byte overwritten."""
+    lines = data.split(b"\n")
+    for _ in range(rng.randint(1, 3)):
+        i, k = rng.randrange(len(lines)), rng.randrange(len(lines))
+        tokens = lines[i].split()
+        edit = rng.randrange(6)
+        if edit == 0:
+            del lines[i : i + (len(lines) > 1)]
+        elif edit == 1:
+            lines.insert(i, lines[k])
+        elif edit == 2:
+            lines[i], lines[k] = lines[k], lines[i]
+        elif edit == 3 and tokens:
+            del tokens[rng.randrange(len(tokens))]
+            lines[i] = b" ".join(tokens)
+        elif edit == 4:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(FUZZ_TOKENS).encode())
+            lines[i] = b" ".join(tokens)
+        elif lines[i]:
+            line = bytearray(lines[i])
+            line[rng.randrange(len(line))] = rng.randrange(256)
+            lines[i] = bytes(line)
+    return b"\n".join(lines)
+
+
+def test_mutated_inputs_keep_the_exit_code_contract(capsys, tmp_path):
+    """200 mutated copies of the test inputs, each through the translation
+    commands that read its kind of file, in process: each run ends with exit
+    code 0, 1, 2 or 3, and no exception escapes `main`."""
+    rng = random.Random(0)
+    sources = sorted(DATA.iterdir())
+    for i in range(200):
+        source = rng.choice(sources)
+        path = tmp_path / f"mutant{i}{source.suffix}"
+        path.write_bytes(_mutant(rng, source.read_bytes()))
+        for command in FUZZ_COMMANDS[source.suffix]:
+            assert main([command[0], str(path), *command[1:]]) in (0, 1, 2, 3), (i, command)
+            capsys.readouterr()

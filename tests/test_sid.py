@@ -593,29 +593,6 @@ def test_kernel_matches_definitions(fam):
     assert_kernel_matches_definitions(fam)
 
 
-def is_geometry_meet_family(fam):
-    """Whether `fam` is the meet family of a convex geometry, by definition:
-    the empty set lies in its intersection closure, every cover there adds
-    one element, and the members are the closure's meet-irreducibles."""
-    full = (1 << fam.ground.size) - 1
-    closed = intersection_closure(fam.ground, fam.meets)
-    for x in closed:
-        above = [y for y in closed if y != x and not x & ~y]
-        covers = [y for y in above if not any(z != y and not z & ~y for z in above)]
-        if any((y & ~x).bit_count() != 1 for y in covers):
-            return False
-    return 0 in closed and set(family_meet_masks(closed, full)) == {m.mask for m in fam}
-
-
-@settings(max_examples=60)
-@given(meet_families())
-def test_recovery_accepts_exactly_the_meet_families_of_convex_geometries(fam):
-    recovered = outcome(recover_critical_base, fam)
-    assert isinstance(recovered, Raised) != is_geometry_meet_family(fam)
-    if isinstance(recovered, Raised):
-        assert recovered.type is NotConvexGeometryError
-
-
 @settings(max_examples=60, deadline=None)
 @given(wide_families())
 def test_kernel_matches_scan_beyond_64_elements(fam):
