@@ -60,8 +60,6 @@ _EXPORTS = {
     "ranking": (
         "RankConflict",
         "RankFunction",
-        "UnrankedCertificate",
-        "check_unranked_certificate",
         "compute_rank",
         "validate_rank",
     ),

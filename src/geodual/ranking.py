@@ -5,12 +5,17 @@ premise element sits exactly one level above the conclusion of its rule.
 Ranks, when they exist, are unique up to a per-component shift, so they
 are computed by breadth-first propagation over each weakly connected
 component of the implication graph and then normalized to start at 0.
+
+When propagation reaches a ranked element with another value, the rules
+on the tree paths from both ends of that edge up to their lowest common
+ancestor, plus the edge's own rule, form a cycle of rank constraints
+whose differences do not sum to zero: at most n rules that admit no rank
+on their own.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Union
 
 from .errors import InputError
@@ -42,9 +47,10 @@ class RankFunction(Record):
 class RankConflict(Record):
     """Witness that no rank function exists.
 
-    `element` was forced to two distinct ranks; the two witness
-    implications are the rules whose constraints collided there during
-    propagation.
+    `element` was forced to the two distinct `required_ranks`.  The
+    `witness_implications`, at most n distinct rules in base order, carry
+    a cycle of rank constraints through `element` whose differences do not
+    sum to zero, so a rank of these rules alone would give it both ranks.
     """
 
     __slots__ = ("element", "required_ranks", "witness_implications")
@@ -53,7 +59,7 @@ class RankConflict(Record):
         self,
         element: int,
         required_ranks: tuple[int, int],
-        witness_implications: tuple[Implication, Implication],
+        witness_implications: tuple[Implication, ...],
     ):
         object.__setattr__(self, "element", element)
         object.__setattr__(self, "required_ranks", required_ranks)
@@ -62,31 +68,12 @@ class RankConflict(Record):
     def describe(self) -> str:
         labels = self.witness_implications[0].universe.labels
         a, b = self.required_ranks
-        w1, w2 = self.witness_implications
+        *rest, last = map(repr, self.witness_implications)
+        forced = f"{', '.join(rest)} and {last}" if rest else last
         return (
             f"element {labels[self.element]!r} would need rank {a} and rank {b}; "
-            f"forced by {w1!r} and {w2!r}"
+            f"forced by {forced}"
         )
-
-
-class UnrankedCertificate(Record):
-    """A short list of implications claimed critical and jointly unrankable."""
-
-    __slots__ = ("implications",)
-
-    def __init__(self, implications: tuple[Implication, ...]):
-        if not implications:
-            raise InputError("certificate must contain at least one implication")
-        universe = implications[0].universe
-        for imp in implications:
-            if imp.universe != universe:
-                raise InputError("certificate implications must share one ground set")
-        if len(implications) > universe.size:
-            raise InputError(
-                f"certificate of {len(implications)} implications exceeds "
-                f"the ground-set size {universe.size}"
-            )
-        object.__setattr__(self, "implications", implications)
 
 
 def compute_rank(base: ImplicationalBase) -> Union[RankFunction, RankConflict]:
@@ -95,19 +82,22 @@ def compute_rank(base: ImplicationalBase) -> Union[RankFunction, RankConflict]:
     Each weakly connected component is propagated independently from a
     seed initialized at rank n (so intermediate values stay natural) and
     later shifted so its minimum is 0.  A conflict is a normal return,
-    not an error.
+    not an error; its witnesses are the rules of at most n - 1 tree edges
+    closing a cycle with the conflicting edge, and that edge's rule.
     """
     n = base.ground.size
-    # neighbors[x] lists (y, delta, rule): rank(y) must equal rank(x) + delta.
-    neighbors: list[list[tuple[int, int, Implication]]] = [[] for _ in range(n)]
-    for imp in base.implications:
+    rules = base.implications
+    # neighbors[x] lists (y, delta, rule index): rank(y) must equal rank(x) + delta.
+    neighbors: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for rid, imp in enumerate(rules):
         b = imp.conclusion
         for a in imp.premise:
-            neighbors[a].append((b, -1, imp))
-            neighbors[b].append((a, +1, imp))
+            neighbors[a].append((b, -1, rid))
+            neighbors[b].append((a, +1, rid))
 
     rank: list[int | None] = [None] * n
-    cause: list[Implication | None] = [None] * n
+    # The propagation tree: each element's parent, its rule, its depth.
+    parent, cause, depth = list(range(n)), [-1] * n, [0] * n
     components: list[list[int]] = []
     for seed in range(n):
         if rank[seed] is not None:
@@ -118,20 +108,25 @@ def compute_rank(base: ImplicationalBase) -> Union[RankFunction, RankConflict]:
         while queue:
             x = queue.popleft()
             rx = rank[x]
-            for y, delta, imp in neighbors[x]:
+            for y, delta, rid in neighbors[x]:
                 want = rx + delta
                 ry = rank[y]
                 if ry is None:
                     rank[y] = want
-                    cause[y] = imp
+                    parent[y], cause[y], depth[y] = x, rid, depth[x] + 1
                     component.append(y)
                     queue.append(y)
                 elif ry != want:
-                    first = cause[y] or cause[x] or imp
+                    used, u, v = {rid}, x, y
+                    while u != v:
+                        if depth[u] < depth[v]:
+                            u, v = v, u
+                        used.add(cause[u])
+                        u = parent[u]
                     return RankConflict(
                         element=y,
                         required_ranks=(ry, want),
-                        witness_implications=(first, imp),
+                        witness_implications=tuple(rules[i] for i in sorted(used)),
                     )
         components.append(component)
 
@@ -153,33 +148,3 @@ def validate_rank(base: ImplicationalBase, rho: RankFunction) -> bool:
             if rho.ranks[a] != want:
                 return False
     return True
-
-
-def check_unranked_certificate(meets, cert: UnrankedCertificate) -> bool:
-    """Check a claim that a meet-represented geometry is not ranked.
-
-    Working purely against the closure operator induced by `meets`, the
-    certificate passes when every listed implication is valid, a minimal
-    generator, and critical, and the listed implications alone admit no
-    rank function.
-    """
-    # Imported here: `critical` imports this module, and `ccm`, which
-    # imports it too, must not load `sid`.
-    from .critical import _is_mingen_mask, _is_redundant_mask
-    from .sid import MeetFamily, closure_from_meets_mask
-
-    if not isinstance(meets, MeetFamily):
-        raise InputError("expected a MeetFamily")
-    ground = meets.ground
-    for imp in cert.implications:
-        if imp.universe != ground:
-            raise InputError("certificate lives on a different ground set")
-
-    close = partial(closure_from_meets_mask, meets)
-    for imp in cert.implications:
-        amask, b = imp.premise.mask, imp.conclusion
-        if not _is_mingen_mask(close, amask, b) or _is_redundant_mask(close, amask, b):
-            return False
-
-    certificate_base = ImplicationalBase(ground, cert.implications)
-    return isinstance(compute_rank(certificate_base), RankConflict)

@@ -266,6 +266,22 @@ class TestRankCheck:
         assert lines[0] == "conflict"
         assert any(line.startswith("witness:") for line in lines)
 
+    def test_uneven_conflict_names_the_cycle(self, capsys, data_dir):
+        assert run(capsys, "rank-check", data_dir / "uneven.imp") == (
+            2,
+            "conflict\nelement: 5\nranks: 3 vs 2\nwitness: 1 -> 2\n"
+            "witness: 1 -> 3\nwitness: 2 -> 4\nwitness: 3 4 -> 5\n",
+            "",
+        )
+
+    def test_crossed_conflict_json_names_the_cycle(self, capsys, data_dir):
+        assert run(capsys, "rank-check", "--json", data_dir / "crossed.imp") == (
+            2,
+            '{"ranked": false, "element": "3", "required_ranks": [6, 5], '
+            '"witnesses": ["4 -> 1", "3 -> 1", "4 5 -> 3"]}\n',
+            "",
+        )
+
     def test_json_mode(self, capsys, data_dir):
         code, out, _ = run(capsys, "rank-check", data_dir / "layered.imp", "--json")
         data = json.loads(out)
@@ -1309,7 +1325,7 @@ def test_rank_conflict_is_one_stderr_line(capsys, tmp_path, command):
         2,
         "",
         "precondition violated: base is not ranked: element 'c' would need rank 4 "
-        "and rank 5; forced by c -> a and c -> b\n",
+        "and rank 5; forced by b -> a, c -> b and c -> a\n",
     )
 
 

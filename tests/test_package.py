@@ -14,13 +14,11 @@ from geodual import (
     ElementSet,
     GroundSet,
     Implication,
-    InputError,
     MinimalGenerator,
     PreconditionError,
     RankConflict,
     RankedSet,
     RankFunction,
-    UnrankedCertificate,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -82,7 +80,7 @@ def test_dir_lists_the_public_names():
     assert set(SUBMODULES) <= set(listed)
 
 
-# -- the five records ----------------------------------------------------------
+# -- the four records ----------------------------------------------------------
 
 G = GroundSet("abc")
 AB = Implication(ElementSet.of(G, [0]), 1)
@@ -96,12 +94,6 @@ RECORDS = [
         {"element": 0, "required_ranks": (1, 2), "witness_implications": (AB, BC)},
         {"element": 1, "required_ranks": (1, 2), "witness_implications": (AB, BC)},
         "RankConflict(element=0, required_ranks=(1, 2), witness_implications=(a -> b, b -> c))",
-    ),
-    (
-        UnrankedCertificate,
-        {"implications": (AB, BC)},
-        {"implications": (AB,)},
-        "UnrankedCertificate(implications=(a -> b, b -> c))",
     ),
     (
         RankedSet,
@@ -150,14 +142,8 @@ def test_records_of_different_types_differ():
          "rank must be a natural number"),
         (lambda: MinimalGenerator(ElementSet.of(G, [0]), 0), PreconditionError,
          "target element must lie outside its generator"),
-        (lambda: UnrankedCertificate(()), InputError,
-         "certificate must contain at least one implication"),
-        (lambda: UnrankedCertificate((AB, Implication(ElementSet.of(GroundSet("ab"), [0]), 1))),
-         InputError, "certificate implications must share one ground set"),
-        (lambda: UnrankedCertificate((AB, BC, AB, BC)), InputError,
-         "certificate of 4 implications exceeds the ground-set size 3"),
     ],
-    ids=["ranked-set", "minimal-generator", "empty", "two-grounds", "too-long"],
+    ids=["ranked-set", "minimal-generator"],
 )
 def test_record_validation(make, error, message):
     with pytest.raises(error, match=message):

@@ -1,4 +1,5 @@
-"""Rank computation, validation, and the non-rankedness certificate checker."""
+"""Rank computation, validation, and the conflict cycle that witnesses
+that no rank exists."""
 
 import random
 
@@ -6,20 +7,22 @@ import pytest
 
 from conftest import layered_base, make_base
 from geodual import (
-    MeetFamily,
+    ImplicationalBase,
+    MinimalGenerator,
     RankConflict,
     RankFunction,
-    UnrankedCertificate,
-    check_unranked_certificate,
     compute_rank,
-    implication,
+    critical_base,
     is_acyclic,
+    is_ranked_geometry,
+    is_redundant,
     validate_rank,
 )
 from geodual.errors import InputError
 from geodual.oracle import (
-    meets_brute,
+    mingens_brute,
     perturb_until_unranked,
+    random_acyclic_base,
     random_ranked_base,
     rank_exists_brute,
 )
@@ -64,14 +67,25 @@ class TestComputeRank:
     def test_crossed_conflict(self, crossed):
         conflict = compute_rank(crossed)
         assert isinstance(conflict, RankConflict)
-        a, b = conflict.required_ranks
-        assert a != b
-        w1, w2 = conflict.witness_implications
-        assert w1 in crossed.implications and w2 in crossed.implications
-        assert conflict.describe()
+        assert conflict.element == crossed.ground.position("3")
+        assert conflict.required_ranks == (6, 5)
+        assert [repr(w) for w in conflict.witness_implications] == [
+            "4 -> 1", "3 -> 1", "4 5 -> 3",
+        ]
+        assert conflict.describe() == (
+            "element '3' would need rank 6 and rank 5; "
+            "forced by 4 -> 1, 3 -> 1 and 4 5 -> 3"
+        )
 
     def test_uneven_conflict(self, uneven):
-        assert isinstance(compute_rank(uneven), RankConflict)
+        # 3 and 4 share a premise, but the paths 1 -> 2 -> 4 and 1 -> 3
+        # put them one rank apart: every rule of the cycle is named.
+        conflict = compute_rank(uneven)
+        assert isinstance(conflict, RankConflict)
+        assert conflict.describe() == (
+            "element '5' would need rank 3 and rank 2; "
+            "forced by 1 -> 2, 1 -> 3, 2 -> 4 and 3 4 -> 5"
+        )
 
     def test_empty_base_singleton(self):
         rho = compute_rank(make_base("a", []))
@@ -159,37 +173,57 @@ class TestRankProperties:
                 assert is_acyclic(base)
 
 
-class TestUnrankedCertificate:
-    def test_crossed_full_certificate_accepted(self, crossed):
-        meets = MeetFamily(crossed.ground, meets_brute(crossed))
-        cert = UnrankedCertificate(tuple(crossed.implications))
-        assert check_unranked_certificate(meets, cert)
+def seeded_bases(count):
+    """Odd seeds give random acyclic bases, even seeds ranked bases
+    perturbed until they have no rank."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        if seed % 2:
+            yield random_acyclic_base(rng, 9, 18)
+        else:
+            yield perturb_until_unranked(rng, random_ranked_base(rng, 9, 14))
 
-    def test_non_minimal_generator_rejected(self):
-        base = make_base("a b c", [("a", "c")])
-        meets = MeetFamily(base.ground, meets_brute(base))
-        cert = UnrankedCertificate((implication(base.ground, ["a", "b"], "c"),))
-        assert not check_unranked_certificate(meets, cert)
 
-    def test_rankable_certificate_rejected(self, layered):
-        meets = MeetFamily(layered.ground, meets_brute(layered))
-        cert = UnrankedCertificate((implication(layered.ground, ["4", "5"], "j"),))
-        assert not check_unranked_certificate(meets, cert)
+CYCLIC_BASES = [
+    make_base("1 2", [("1", "2"), ("2", "1")]),
+    make_base("1 2 3", [("1", "2"), ("2", "3"), ("3", "1")]),
+    make_base("a b c", [("a b", "c"), ("c", "a")]),
+]
 
-    def test_invalid_implication_rejected(self, layered):
-        meets = MeetFamily(layered.ground, meets_brute(layered))
-        cert = UnrankedCertificate((implication(layered.ground, ["1"], "j"),))
-        assert not check_unranked_certificate(meets, cert)
 
-    def test_redundant_generator_rejected(self, layered):
-        # {3 4} generates j but 4 5 -> j makes it redundant
-        meets = MeetFamily(layered.ground, meets_brute(layered))
-        cert = UnrankedCertificate((implication(layered.ground, ["3", "4"], "j"),))
-        assert not check_unranked_certificate(meets, cert)
+class TestConflictCycle:
+    def test_every_conflict_is_an_unrankable_cycle(self):
+        """The witnesses are at most n distinct rules of the base, in base
+        order, one of them mentions the conflicting element, and they
+        admit no rank."""
+        conflicts = 0
+        for base in [*seeded_bases(1000), *CYCLIC_BASES]:
+            conflict = compute_rank(base)
+            if not isinstance(conflict, RankConflict):
+                continue
+            conflicts += 1
+            witnesses = conflict.witness_implications
+            order = [base.implications.index(w) for w in witnesses]
+            assert order == sorted(set(order))
+            assert len(witnesses) <= base.ground.size
+            assert any(
+                conflict.element == w.conclusion or conflict.element in w.premise
+                for w in witnesses
+            )
+            assert not rank_exists_brute(ImplicationalBase(base.ground, witnesses))
+        assert conflicts > 800
 
-    def test_length_bound_enforced(self, layered):
-        g = layered.ground
-        imps = tuple(implication(g, [a], "j") for a in ["1", "2", "3", "4", "5"])
-        UnrankedCertificate(imps + imps[:1])  # 6 = |X| is fine
-        with pytest.raises(InputError):
-            UnrankedCertificate(imps + imps + imps[:2])
+    def test_critical_cycle_certifies_the_geometry(self, crossed):
+        """On an acyclic base of an unranked geometry, each witness of the
+        critical base's conflict is a critical generator of the base's
+        closure (valid, minimal, not redundant), and together they admit
+        no rank."""
+        bases = [crossed]
+        bases += [b for b in seeded_bases(400) if is_acyclic(b) and not is_ranked_geometry(b)]
+        assert len(bases) > 20
+        for base in bases:
+            witnesses = compute_rank(critical_base(base)).witness_implications
+            for w in witnesses:
+                assert w.premise in mingens_brute(base, w.conclusion)
+                assert not is_redundant(base, MinimalGenerator(w.premise, w.conclusion))
+            assert not rank_exists_brute(ImplicationalBase(base.ground, witnesses))
