@@ -26,7 +26,7 @@ _EXPORTS = {
         "seed_region",
     ),
     "critical": ("MinimalGenerator", "critical_base", "is_ranked_geometry", "is_redundant"),
-    "dualization": ("Antichain", "check_dual", "is_meet_family", "reduce_dual_to_cmi"),
+    "dualization": ("Antichain", "reduce_dual_to_cmi"),
     "errors": (
         "DuplicateImplicationWarning",
         "DuplicateSetWarning",
@@ -57,6 +57,7 @@ _EXPORTS = {
         "is_closed",
         "is_standard",
     ),
+    "oracle": ("check_dual", "is_meet_family"),
     "ranking": (
         "RankConflict",
         "RankFunction",

@@ -212,7 +212,8 @@ def _read_sets(base, path) -> list[ElementSet]:
 
 
 def cmd_dual_check(args) -> int:
-    from .dualization import Antichain, check_dual
+    from .dualization import Antichain
+    from .oracle import check_dual
 
     base = formats.read_imp(args.file)
     bplus, bminus = (Antichain(base, _read_sets(base, p)) for p in (args.plus, args.minus))

@@ -1,11 +1,12 @@
-"""Lattice dualization checking and its embedding into meet-family identification.
+"""Antichains of closed sets, and the embedding of lattice dualization
+into meet-family identification.
 
 Deciding whether two antichains split a closure lattice into a disjoint
-ideal and filter is coNP-complete in general, so the checker here is a
-deliberate brute force over all closed sets, intended as a test harness
-and instance generator rather than a solver.  The embedding extends the
-base by one fresh element implied by every negative set; the meet family
-of the extended base then encodes the answer.
+ideal and filter is coNP-complete in general; the checker,
+``oracle.check_dual``, is a deliberate brute force over all closed sets,
+a test harness rather than a solver.  The embedding extends the base by
+one fresh element implied by every negative set; the meet family of the
+extended base then encodes the answer.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable
 
 from .errors import InputError, PreconditionError, RelabelWarning
 from .implications import Implication, ImplicationalBase, is_closed_mask
-from .sets import ElementSet, GroundSet, Immutable, sort_key_size_lex
+from .sets import ElementSet, GroundSet, Immutable
 from .sid import MeetFamily
 
 
@@ -57,25 +58,9 @@ class Antichain(Immutable):
         return f"Antichain({len(self.sets)} sets)"
 
 
-def _check_same_base(base: ImplicationalBase, chain: Antichain, which: str) -> None:
+def check_same_base(base: ImplicationalBase, chain: Antichain, which: str) -> None:
     if chain.base is not base and chain.base != base:
         raise InputError(f"{which} antichain was built against a different base")
-
-
-def check_dual(base: ImplicationalBase, bplus: Antichain, bminus: Antichain) -> bool:
-    """True iff `bplus` lists exactly the maximal closed sets containing
-    no member of `bminus`.
-
-    Equivalently, the ideal of `bplus` and the filter of `bminus` are
-    disjoint and together cover all closed sets.  Decided by brute force
-    over the whole lattice, so intended for small instances only.
-    """
-    from .oracle import positive_antichain_masks
-
-    _check_same_base(base, bplus, "positive")
-    _check_same_base(base, bminus, "negative")
-    expected = positive_antichain_masks(base, bminus.masks())
-    return sorted(bplus.masks(), key=sort_key_size_lex) == expected
 
 
 def fresh_label(ground: GroundSet) -> str:
@@ -115,8 +100,8 @@ def reduce_dual_to_cmi(
         raise PreconditionError(
             "the embedding is defined for bases with singleton premises"
         )
-    _check_same_base(base, bplus, "positive")
-    _check_same_base(base, bminus, "negative")
+    check_same_base(base, bplus, "positive")
+    check_same_base(base, bminus, "negative")
     for a in bminus:
         if not a:
             raise InputError(
@@ -148,15 +133,3 @@ def reduce_dual_to_cmi(
     candidates += [rehost(p.mask) for p in bplus]
     return omega, MeetFamily(extended, candidates)
 
-
-def is_meet_family(base: ImplicationalBase, m: MeetFamily) -> bool:
-    """True iff `m` is exactly the meet-irreducible family of the base.
-
-    Decided against the brute-force meet family; intended for small
-    instances.
-    """
-    from .oracle import meets_brute
-
-    if m.ground != base.ground:
-        raise InputError("meet family lives on a different ground set")
-    return {meet.mask for meet in m.meets} == {s.mask for s in meets_brute(base)}

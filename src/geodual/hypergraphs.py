@@ -9,13 +9,16 @@ delay-bounded.
 Berge's absorption test is chosen per edge.  When the members missing the
 edge times the members meeting it in one vertex make few pairs, each pair
 is tested; above a fixed crossover the missing members are indexed by
-element and each guard blocks, with one AND per element, every missing
-member it absorbs.
+element, by the transposition that also builds `sid`'s member index
+(:func:`~geodual.sets.bit_rows`), and each guard blocks, with one AND per
+element, every missing member it absorbs.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from .errors import InputError
@@ -23,6 +26,7 @@ from .sets import (
     ElementSet,
     GroundSet,
     Immutable,
+    bit_rows,
     minimal_masks,
     same_universe,
     sort_key_lex,
@@ -133,11 +137,11 @@ class BergeBackend:
 
 #: Above this many (missing member, guard) pairs an edge's absorption test
 #: runs from the index of the missing members; below it the pair scan wins.
-#: Replaying the level hypergraphs on 2 cores with the index on every edge,
-#: 6 ccm-deep bases took 0.14-0.18 s against 0.05-0.09 s and the 50 L4 w8
-#: bases of sid-deep's set-up 0.35-0.47 s against 0.12-0.16 s; with the scan
-#: on every edge, 2 ccm-wide bases took 0.60-0.67 s against 0.16-0.22 s.
-#: Every crossover from 8 to 1 024 pairs stayed within the spread of 64.
+#: Walking `ccm` in process on 2 cores with the index on every edge that has
+#: a pair, 6 ccm-deep bases took 0.48-0.53 s against 0.37 s and the 50 L4 w8
+#: bases of sid-deep's set-up 0.42-0.44 s against 0.22 s; with the scan on
+#: every edge, 2 ccm-wide bases took 0.47 s against 0.12 s.  A crossover of
+#: 1 024 pairs stayed within 5 % of 64; one of 8 cost the set-up 15 %.
 _SCAN_PAIRS = 64
 
 
@@ -146,50 +150,47 @@ def _grow_indexed(
 ) -> None:
     """Append to `kept` each ``t | 1<<v`` of Berge's step that no guard absorbs.
 
-    The missing members are indexed by element (the vertical "tidset"
-    layout of Zaki's Eclat): the row of an element has bit i when
+    The missing members are indexed by element over their span, the
+    positions from the lowest to the highest that any of them holds, by
+    :func:`~geodual.sets.bit_rows`: the row of an element has bit i when
     ``missing[i]`` contains it.  A guard ``(h - {v}, v)`` blocks at v
     exactly the members in the AND of the rows of ``h - {v}``, all of them
-    when that is empty, so ``blocked[v]`` is the OR of those masks over
-    the guards at v.  The sets appended are those of the pair scan.
+    when that is empty and none when it holds an element no missing member
+    holds, so ``blocked[v]`` is the OR of those masks over the guards at v.
+    The sets appended are those of the pair scan.
     """
     width = len(missing)
     everyone = (1 << width) - 1
-    cont: dict[int, int] = {}
+    held = reduce(or_, missing)
+    low = (held & -held).bit_length() - 1
+    rows = bit_rows(missing, low, held.bit_length() - low)
     blocked: dict[int, int] = {}
     for rest, one in guards:
-        rows = everyone
+        if rest & ~held:
+            continue
+        found = everyone
+        rest >>= low
         while rest:
-            low = rest & -rest
-            row = cont.get(low)
-            if row is None:
-                row = cont[low] = _row(missing, low)
-            rows &= row
-            if not rows:
+            bit = rest & -rest
+            found &= rows[bit.bit_length() - 1]
+            if not found:
                 break
-            rest ^= low
+            rest ^= bit
         else:
-            blocked[one] = blocked.get(one, 0) | rows
+            blocked[one] = blocked.get(one, 0) | found
     while edge:
-        low = edge & -edge
-        edge ^= low
-        rows = blocked.get(low)
-        if rows is None:
-            kept.extend(map(low.__or__, missing))
+        bit = edge & -edge
+        edge ^= bit
+        found = blocked.get(bit)
+        if found is None:
+            kept.extend(map(bit.__or__, missing))
         else:
-            free = format(everyone ^ rows, f"0{width}b")[::-1].encode()
-            kept.extend(map(low.__or__, compress(missing, free.translate(_FLAGS))))
+            free = format(everyone ^ found, f"0{width}b")[::-1].encode()
+            kept.extend(map(bit.__or__, compress(missing, free.translate(_FLAGS))))
 
 
-def _row(masks: list[int], bit: int) -> int:
-    """The mask whose bit i says that ``masks[i]`` contains `bit`."""
-    flags = bytes(map(bool, map(bit.__and__, masks)))
-    return int(flags[::-1].translate(_DIGITS), 2)
-
-
-#: Turn binary digits into the bytes 0 and 1 that `compress` reads, and back.
+#: Turn binary digits into the bytes 0 and 1 that `compress` reads.
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 DEFAULT_BACKEND = BergeBackend()

@@ -15,7 +15,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Iterator
 
 from .errors import DuplicateImplicationWarning, InputError
-from .sets import ElementSet, GroundSet, Immutable, iter_bits, sort_key_lex
+from .sets import ElementSet, GroundSet, Immutable, iter_bits
 
 
 class Implication(Immutable):
@@ -54,9 +54,6 @@ class Implication(Immutable):
 
     def __hash__(self) -> int:
         return hash((self.premise, self.conclusion))
-
-    def sort_key(self) -> tuple[int, str]:
-        return (self.conclusion, sort_key_lex(self.premise.mask))
 
     def __repr__(self) -> str:
         lhs = self.universe.join_labels(self.premise.mask)

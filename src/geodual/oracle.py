@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, size_guard
+from .dualization import Antichain, check_same_base
+from .errors import InputError, PreconditionError, size_guard
 from .hypergraphs import Hypergraph
 from .implications import (
     Implication,
@@ -38,6 +39,7 @@ from .sets import (
     maximal_masks,
     sort_key_size_lex,
 )
+from .sid import MeetFamily
 
 CLOSED_SET_GUARD = 20
 TRANSVERSAL_GUARD = 16
@@ -271,6 +273,31 @@ def positive_antichain_masks(base: ImplicationalBase, minus: Sequence[int]) -> l
         outside, grown = _extensions(closed, table, a)
         keep &= ~outside | hit[grown]
     return _sorted_masks(closed[keep])
+
+
+def check_dual(base: ImplicationalBase, bplus: Antichain, bminus: Antichain) -> bool:
+    """True iff `bplus` lists exactly the maximal closed sets containing
+    no member of `bminus`.
+
+    Equivalently, the ideal of `bplus` and the filter of `bminus` are
+    disjoint and together cover all closed sets.  Decided by brute force
+    over the whole lattice, so intended for small instances only.
+    """
+    check_same_base(base, bplus, "positive")
+    check_same_base(base, bminus, "negative")
+    expected = positive_antichain_masks(base, bminus.masks())
+    return sorted(bplus.masks(), key=sort_key_size_lex) == expected
+
+
+def is_meet_family(base: ImplicationalBase, m: MeetFamily) -> bool:
+    """True iff `m` is exactly the meet-irreducible family of the base.
+
+    Decided against the brute-force meet family; intended for small
+    instances.
+    """
+    if m.ground != base.ground:
+        raise InputError("meet family lives on a different ground set")
+    return {meet.mask for meet in m.meets} == {s.mask for s in meets_brute(base)}
 
 
 def intersection_closure(ground: GroundSet, sets: Iterable[ElementSet]) -> list[int]:

@@ -47,7 +47,9 @@ class RankFunction(Record):
 class RankConflict(Record):
     """Witness that no rank function exists.
 
-    `element` was forced to the two distinct `required_ranks`.  The
+    `element` was forced to the two distinct `required_ranks`, given in
+    normal form: shifted so that the smallest of them and of the ranks
+    given so far in the element's component is 0.  The
     `witness_implications`, at most n distinct rules in base order, carry
     a cycle of rank constraints through `element` whose differences do not
     sum to zero, so a rank of these rules alone would give it both ranks.
@@ -83,7 +85,9 @@ def compute_rank(base: ImplicationalBase) -> Union[RankFunction, RankConflict]:
     seed initialized at rank n (so intermediate values stay natural) and
     later shifted so its minimum is 0.  A conflict is a normal return,
     not an error; its witnesses are the rules of at most n - 1 tree edges
-    closing a cycle with the conflicting edge, and that edge's rule.
+    closing a cycle with the conflicting edge, and that edge's rule, and
+    its two ranks are shifted the same way, by the smallest of them and of
+    the ranks of the component so far (which hold the element's own).
     """
     n = base.ground.size
     rules = base.implications
@@ -117,6 +121,7 @@ def compute_rank(base: ImplicationalBase) -> Union[RankFunction, RankConflict]:
                     component.append(y)
                     queue.append(y)
                 elif ry != want:
+                    low = min(want, *(rank[z] for z in component))
                     used, u, v = {rid}, x, y
                     while u != v:
                         if depth[u] < depth[v]:
@@ -125,7 +130,7 @@ def compute_rank(base: ImplicationalBase) -> Union[RankFunction, RankConflict]:
                         u = parent[u]
                     return RankConflict(
                         element=y,
-                        required_ranks=(ry, want),
+                        required_ranks=(ry - low, want - low),
                         witness_implications=tuple(rules[i] for i in sorted(used)),
                     )
         components.append(component)

@@ -77,7 +77,8 @@ def equivalent_perturbation(rng, base):
         candidates = _above(order, imp)
         if candidates and rng.random() < 0.7:
             extra = rng.choice(candidates)
-            imps.append(Implication(imp.premise.with_element(extra), imp.conclusion))
+            premise = ElementSet(base.ground, imp.premise.mask | 1 << extra)
+            imps.append(Implication(premise, imp.conclusion))
     rng.shuffle(imps)
     return ImplicationalBase(base.ground, dict.fromkeys(imps))
 

@@ -269,7 +269,7 @@ class TestRankCheck:
     def test_uneven_conflict_names_the_cycle(self, capsys, data_dir):
         assert run(capsys, "rank-check", data_dir / "uneven.imp") == (
             2,
-            "conflict\nelement: 5\nranks: 3 vs 2\nwitness: 1 -> 2\n"
+            "conflict\nelement: 5\nranks: 1 vs 0\nwitness: 1 -> 2\n"
             "witness: 1 -> 3\nwitness: 2 -> 4\nwitness: 3 4 -> 5\n",
             "",
         )
@@ -277,10 +277,27 @@ class TestRankCheck:
     def test_crossed_conflict_json_names_the_cycle(self, capsys, data_dir):
         assert run(capsys, "rank-check", "--json", data_dir / "crossed.imp") == (
             2,
-            '{"ranked": false, "element": "3", "required_ranks": [6, 5], '
+            '{"ranked": false, "element": "3", "required_ranks": [1, 0], '
             '"witnesses": ["4 -> 1", "3 -> 1", "4 5 -> 3"]}\n',
             "",
         )
+
+    @pytest.mark.parametrize(
+        "name, ranks",
+        [("crossed.imp", "1 vs 0"), ("uneven.imp", "1 vs 0"), (None, "1 vs 2")],
+        ids=["crossed", "uneven", "triangle"],
+    )
+    def test_conflict_ranks_are_in_normal_form(self, capsys, data_dir, tmp_path, name, ranks):
+        # The two ranks are shifted so that the smallest of them and of the
+        # ranks the component had so far is 0, whatever element is seeded.
+        if name is None:
+            path = tmp_path / "triangle.imp"
+            path.write_text("elements: a b c\nb -> a\nc -> b\nc -> a\n")
+        else:
+            path = data_dir / name
+        code, out, _ = run(capsys, "rank-check", path)
+        assert code == 2
+        assert out.splitlines()[2] == f"ranks: {ranks}"
 
     def test_json_mode(self, capsys, data_dir):
         code, out, _ = run(capsys, "rank-check", data_dir / "layered.imp", "--json")
@@ -1318,14 +1335,14 @@ def test_readme_command_lines_parse():
 
 @pytest.mark.parametrize("command", ["ccm", "roundtrip"])
 def test_rank_conflict_is_one_stderr_line(capsys, tmp_path, command):
-    # `c -> a` is entailed, but `c` cannot have rank 4 and rank 5 at once.
+    # `c -> a` is entailed, but `c` cannot have rank 1 and rank 2 at once.
     path = tmp_path / "entailed.imp"
     path.write_text("elements: a b c\nb -> a\nc -> b\nc -> a\n")
     assert run(capsys, command, path) == (
         2,
         "",
-        "precondition violated: base is not ranked: element 'c' would need rank 4 "
-        "and rank 5; forced by b -> a, c -> b and c -> a\n",
+        "precondition violated: base is not ranked: element 'c' would need rank 1 "
+        "and rank 2; forced by b -> a, c -> b and c -> a\n",
     )
 
 

@@ -81,7 +81,7 @@ class TestCriticalBase:
 
     def test_deterministic_order(self, crossed):
         out = critical_base(crossed)
-        keys = [imp.sort_key() for imp in out.implications]
+        keys = [(imp.conclusion, positions(imp.premise.mask)) for imp in out.implications]
         assert keys == sorted(keys)
 
 

@@ -241,14 +241,17 @@ def crossing_edge_lists(draw):
     """Edge lists whose Berge steps have more (missing, guard) pairs than
     the pair-scan crossover, so the indexed absorption test runs.
 
-    Half of them put vertex 0 in every edge: {0} then stays a member, and
-    its guard, with nothing besides 0, blocks every member missing an edge.
+    The vertices start at a drawn offset, so the indexed rows sit across
+    or past bit 64 and never at position 0.  Half of the lists put the
+    first vertex in every edge: it then stays a member on its own, and its
+    guard, with nothing besides it, blocks every member missing an edge.
     """
     n = draw(st.integers(min_value=16, max_value=24))
+    offset = draw(st.integers(min_value=50, max_value=120))
     hub = draw(st.booleans())
     edge = st.sets(st.integers(hub, n - 1), min_size=3 - hub, max_size=5 - hub)
     edges = draw(st.lists(edge, min_size=8, max_size=14))
-    return [sum(1 << v for v in e) | hub for e in edges]
+    return [(sum(1 << v for v in e) | hub) << offset for e in edges]
 
 
 @settings(max_examples=40, deadline=None)

@@ -68,12 +68,12 @@ class TestComputeRank:
         conflict = compute_rank(crossed)
         assert isinstance(conflict, RankConflict)
         assert conflict.element == crossed.ground.position("3")
-        assert conflict.required_ranks == (6, 5)
+        assert conflict.required_ranks == (1, 0)
         assert [repr(w) for w in conflict.witness_implications] == [
             "4 -> 1", "3 -> 1", "4 5 -> 3",
         ]
         assert conflict.describe() == (
-            "element '3' would need rank 6 and rank 5; "
+            "element '3' would need rank 1 and rank 0; "
             "forced by 4 -> 1, 3 -> 1 and 4 5 -> 3"
         )
 
@@ -83,7 +83,7 @@ class TestComputeRank:
         conflict = compute_rank(uneven)
         assert isinstance(conflict, RankConflict)
         assert conflict.describe() == (
-            "element '5' would need rank 3 and rank 2; "
+            "element '5' would need rank 1 and rank 0; "
             "forced by 1 -> 2, 1 -> 3, 2 -> 4 and 3 4 -> 5"
         )
 

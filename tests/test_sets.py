@@ -5,10 +5,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import positions, widest_ground
-from geodual import ElementSet, GroundSet, Implication, InputError
+from conftest import positions
+from geodual import ElementSet, GroundSet, InputError
 from geodual.sets import (
     MAX_GROUND_SIZE,
+    bit_rows,
     maximal_masks,
     minimal_masks,
     sort_key_lex,
@@ -120,7 +121,7 @@ def test_double_complement_identity(pair):
 @given(set_pair())
 def test_difference_and_subset_laws(pair):
     s, t = pair
-    assert (s - t).isdisjoint(t)
+    assert (s - t).mask & t.mask == 0
     assert (s & t) <= s
     assert s <= (s | t)
 
@@ -171,18 +172,26 @@ def test_lexicographic_keys_sort_as_position_tuples(masks):
     ]
 
 
-@given(mask_lists(), st.data())
-def test_implication_sort_key_sorts_as_position_tuples(masks, data):
-    ground = widest_ground()
-    implications = []
-    for mask in masks:
-        conclusion = data.draw(st.integers(0, MAX_GROUND_SIZE - 1))
-        premise = mask & ~(1 << conclusion)
-        if premise:
-            implications.append(Implication(ElementSet(ground, premise), conclusion))
-    assert sorted(implications, key=Implication.sort_key) == sorted(
-        implications, key=lambda imp: (imp.conclusion, positions(imp.premise.mask))
-    )
+def rows_by_definition(masks, low, width):
+    return [
+        sum(1 << i for i, m in enumerate(masks) if m >> (low + a) & 1) for a in range(width)
+    ]
+
+
+@pytest.mark.parametrize("low", [0, 70])
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 4096])
+def test_bit_rows_match_per_bit_definition(width, low):
+    # Dense, sparse, empty and full masks, and the two end positions,
+    # written at `low`; a nonzero `low` leaves every row past bit 64.  A
+    # family of empty masks, and no family at all, give all-zero rows.
+    rng = random.Random(width)
+    window = (1 << width) - 1
+    masks = [0, window, 1, 1 << (width - 1)] + [rng.getrandbits(width) for _ in range(20)]
+    masks += [sum(1 << p for p in rng.sample(range(width), min(width, 3))) for _ in range(10)]
+    masks = [m << low for m in masks]
+    assert bit_rows(masks, low, width) == rows_by_definition(masks, low, width)
+    assert bit_rows([0, 0], low, width) == [0] * width
+    assert bit_rows([], low, width) == [0] * width
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 4096])

@@ -38,8 +38,9 @@ from geodual.oracle import (
     random_acyclic_base,
     random_ranked_base,
 )
-from geodual.sets import iter_bits
+from geodual.sets import MAX_GROUND_SIZE, iter_bits
 from geodual.sid import (
+    _index,
     closure_from_meets_mask,
     iter_recovered_implications,
     recovered_premises,
@@ -462,7 +463,7 @@ def partition_by_definition(fam):
 def predecessors_by_definition(fam, j, j_up):
     found = 0
     for member in j_up:
-        for a in closed_extensions(fam, member.with_element(j)):
+        for a in closed_extensions(fam, ElementSet(fam.ground, member.mask | 1 << j)):
             found |= 1 << a
     return ElementSet(fam.ground, found)
 
@@ -555,7 +556,7 @@ def meet_families(draw):
 @st.composite
 def wide_families(draw):
     """Families over 65 to 90 elements, most members more than half full,
-    so that the index enters members from both sides.
+    the near-full queries on which `_containing` first ORs complement rows.
 
     Either the meet family of the product of a small ranked base's
     geometry with the Boolean lattice on the other elements (each meet
@@ -626,6 +627,45 @@ def test_kernel_matches_scan_at_ladder_size():
         assert list(recovered_premises(fam, j, j_up)) == premises_by_hypergraph(
             fam, j, j_up
         )
+
+
+def index_by_definition(fam):
+    """`_index` by one bit test per member and element."""
+    members = tuple(member.mask for member in fam.meets)
+    everyone = (1 << len(members)) - 1
+    cont = [
+        sum(1 << i for i, m in enumerate(members) if m >> a & 1)
+        for a in range(fam.ground.size)
+    ]
+    return members, cont, [everyone ^ c for c in cont]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(meet_families(), wide_families()))
+def test_index_matches_definition(fam):
+    assert _index(fam) == index_by_definition(fam)
+
+
+def test_index_matches_definition_on_rung_and_at_ladder_size():
+    # rung.mf, and an L4 w8 family of the size of the benchmark's sid instances.
+    for fam in (
+        MeetFamily(*formats.read_mf(DATA / "rung.mf")),
+        layered_meet_family(4, 8, 3, 2, seed=9),
+    ):
+        assert _index(fam) == index_by_definition(fam)
+
+
+def test_index_of_the_4096_coatoms():
+    # Member i misses element i alone, so row a holds every member but a.
+    n = MAX_GROUND_SIZE
+    ground = GroundSet(str(i) for i in range(n))
+    full = (1 << n) - 1
+    fam = MeetFamily(ground, [ElementSet(ground, full ^ 1 << a) for a in range(n)])
+    assert _index(fam) == (
+        tuple(full ^ 1 << a for a in range(n)),
+        [full ^ 1 << a for a in range(n)],
+        [1 << a for a in range(n)],
+    )
 
 
 def test_roundtrip_at_4096_elements():
