@@ -151,14 +151,14 @@ def cmd_ccm(args) -> int:
 
 def cmd_sid(args) -> int:
     """Stream the rules after the header; `--verify` writes only a whole base."""
-    from .sid import MeetFamily, iter_recovered_implications, recover_critical_base
+    from .sid import MeetFamily, iter_recovered_base, recover_critical_base
 
     ground, sets = formats.read_mf(args.file)
     family = MeetFamily(ground, sets)
     if args.verify:
         rules = recover_critical_base(family, verify=True).implications
     else:
-        rules = iter_recovered_implications(family)
+        rules = iter_recovered_base(family)
     _write_lines(formats.imp_lines(ground, rules))
     return 0
 

@@ -15,13 +15,21 @@ bit masks over member positions.  The members containing a set X are
 then the AND of the rows of its elements, and an element b lies in the
 closure of X exactly when no member containing X misses b, so no query
 scans the family.
+
+That path is quadratic in the family.  `sid` first tries a cheaper one
+(:func:`iter_recovered_base`): it guesses a rank function from a
+sample of the partition, reads the premises off one level per element,
+and keeps the guess only when `ccm`'s walk of the guessed base gives back
+exactly the family.  On a miss it runs the path above, unchanged.
 """
 
 from __future__ import annotations
 
 import warnings
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from .ccm import MeetsAvoiding, ranked
 from .errors import (
     DuplicateSetWarning,
     InputError,
@@ -30,8 +38,15 @@ from .errors import (
     VerificationError,
 )
 # `minimal_transversals` is not called here; perfbench/tracing.py wraps it by name.
-from .hypergraphs import DualizationBackend, Hypergraph, minimal_transversals, transversal_masks
+from .hypergraphs import (
+    _FLAGS,
+    DualizationBackend,
+    Hypergraph,
+    minimal_transversals,
+    transversal_masks,
+)
 from .implications import Implication, ImplicationalBase
+from .ranking import RankFunction
 from .sets import ElementSet, GroundSet, Immutable, bit_rows, iter_bits
 
 
@@ -114,7 +129,8 @@ class _Index(NamedTuple):
 
     Bit i of ``cont[a]`` says that member i contains element a, and
     ``miss[a]`` holds the members that do not; ``members`` are the member
-    masks in family order.
+    masks, in family order (``_index``) or by size (the guess of
+    :func:`_checked_guess`).
     """
 
     members: tuple[int, ...]
@@ -331,28 +347,217 @@ def iter_recovered_implications(
             yield Implication(ElementSet(u, mask), j)
 
 
+def _reproduces(base: ImplicationalBase, rho: RankFunction, masks: set[int]) -> bool:
+    """Whether the meets of `base` are exactly the distinct masks `masks`.
+
+    `rho` must be a valid rank function of `base`.  The walk of
+    :class:`~geodual.ccm.MeetsAvoiding` streams each meet of `base` once,
+    block by block; it stops at the first meet outside `masks`, or once
+    more meets have come than `masks` holds, and the test passes when
+    exactly ``len(masks)`` meets came, all of them in `masks`.
+    """
+    walk = MeetsAvoiding(base, rho)
+    left = len(masks)
+    for j in range(base.ground.size):
+        for cmask, branches in walk(j):
+            left -= len(branches)
+            if left < 0 or not masks.issuperset(map(cmask.__or__, branches)):
+                return False
+    return not left
+
+
+def _guessed_base(
+    ix: _Index, above: list[int], ground: GroundSet
+) -> tuple[ImplicationalBase, RankFunction] | None:
+    """The base R read off the ranks that the constraints `above` give, and
+    those ranks; None when the constraints have a cycle, when a member
+    misses two lowest-ranked elements, or when some block is empty.
+
+    ``above[j]`` holds the elements that must rank above j.  Each element
+    gets the length of the longest chain of constraints below it: the
+    levels are peeled from the bottom, each the elements that nothing left
+    must lie below.  Level by level, the members that hold every lower
+    element and miss one of this level go to their one missing element
+    here, j, and give j the edge of the level above minus the member.  The
+    premises of j are the minimal transversals of its edges, in position
+    order of j, so every premise element lies one rank above its
+    conclusion and R is ranked by construction.
+    """
+    n = len(above)
+    ranks, levels, left = [0] * n, [], (1 << n) - 1
+    while left:
+        held = 0
+        for j in iter_bits(left):
+            held |= above[j]
+        level = left & ~held
+        if not level:
+            return None
+        for j in iter_bits(level):
+            ranks[j] = len(levels)
+        levels.append(level)
+        left ^= level
+    members, miss = ix.members, ix.miss
+    width = len(members)
+    # The members holding every element of the levels peeled so far, and
+    # the elements that some member went to.
+    inside, assigned = (1 << width) - 1, 0
+    edges: list[list[int]] = [[] for _ in range(n)]
+    for level, up in zip(levels, [*levels[1:], 0]):
+        here = 0
+        for j in iter_bits(level):
+            here |= miss[j]
+        here &= inside
+        inside ^= here
+        flags = format(here, f"0{width}b")[::-1].encode().translate(_FLAGS)
+        for x in compress(members, flags):
+            low = level & ~x
+            if low & (low - 1):
+                return None
+            assigned |= low
+            if up:
+                edges[low.bit_length() - 1].append(up & ~x)
+    if assigned != (1 << n) - 1:
+        return None
+    # The top level has no premises above it, and so no rules.
+    rules = [
+        Implication(ElementSet(ground, p), j)
+        for j in range(n)
+        if edges[j]
+        for p in transversal_masks(edges[j])
+    ]
+    return ImplicationalBase(ground, rules), RankFunction(tuple(ranks))
+
+
+def _checked_guess(m: MeetFamily) -> ImplicationalBase | None:
+    """The critical base of `m`'s geometry, read off a guessed rank
+    function that `ccm`'s walk confirms; None when no guess passes, or when
+    the family fails the partition's test.
+
+    Two facts make the guess possible.  Let ρ rank a base of a convex
+    geometry, and let M be a maximal closed set avoiding j, a meet whose
+    unique closed extension is M + j.
+
+    *j is the unique lowest-ranked element missing from M* (the lemma).
+    Let b ≠ j lie outside M, with ρ(b) ≤ ρ(j).  Close M + b rule by rule:
+    M is closed, so each rule that fires has in its premise b or an
+    element derived before, of rank at most ρ(b), and so concludes below
+    ρ(b).  So no element of cl(M + b) outside M + b ranks as high as ρ(j),
+    j is not in cl(M + b), and cl(M + b) is a closed set avoiding j
+    strictly above M: impossible.
+
+    *The premises of j are the minimal transversals of the level
+    L = ρ⁻¹(ρ(j) + 1) minus each member of j's block, with no predecessor
+    restriction.*  A set X ⊆ L meets every edge L − M exactly when it lies
+    in no member M of j's block, so in no closed set avoiding j (each lies
+    in a maximal one), so exactly when j ∈ cl(X): the minimal
+    transversals are the minimal generators of j inside L.  ρ ranks the
+    critical base too (see :func:`~geodual.critical.is_ranked_geometry`),
+    so each critical generator of j lies in L.  Conversely, let G ⊆ L
+    minimally generate j.  Closing G by the critical base derives only
+    elements of rank at most ρ(j), so the rule that derives j has its
+    premise, which lies in L, inside G, and by minimality it is G.  So the
+    minimal transversals are exactly the critical premises of j.
+
+    The guess runs these facts on a sample.  For each element a, the k
+    largest members missing a go through the partition's test
+    (`_containing`, then `_common`), and each member M so assigned to j
+    puts every other element missing from M above j.
+    :func:`_guessed_base` layers the elements by these constraints and
+    reads a base R off the layers.  The constraints hold for every rank
+    function of the geometry, but the layers need not be one, so
+    :func:`_reproduces` checks R.  When the walk of R gives exactly the
+    family, R is a base of the geometry, ranked by the layers ρ.  By the
+    lemma, each member's block under ρ is then its own, and by the second
+    fact, R's premises of j are the critical premises of j, in the order
+    of :func:`~geodual.critical.critical_base`.  So R is the critical base,
+    which is what :func:`iter_recovered_implications` streams on a ranked
+    geometry's family (the paper's theorem).  k starts at 1 and doubles on
+    a miss, up to the attempt where it covers every member missing each
+    element.  A member that fails the test, an element in every member or
+    an empty family returns None at once, so that the path of
+    :func:`iter_recovered_implications` raises its own error.
+    """
+    n = m.ground.size
+    members = sorted((member.mask for member in m.meets), key=int.bit_count, reverse=True)
+    everyone = (1 << len(members)) - 1
+    cont = bit_rows(members, 0, n)
+    ix = _Index(tuple(members), cont, [everyone ^ c for c in cont])
+    if not members or not all(ix.miss):
+        return None
+    full, masks = (1 << n) - 1, set(members)
+    # Per element, the members missing it that are not sampled yet; the
+    # members go by size, largest first, so these are its lowest bits.
+    unsampled = list(ix.miss)
+    above, sampled = [0] * n, 0
+    last = max(map(int.bit_count, ix.miss))
+    k = 1
+    while True:
+        fresh = 0
+        for a in range(n):
+            row = unsampled[a]
+            for _ in range(k - k // 2):
+                low = row & -row
+                fresh |= low
+                row ^= low
+            unsampled[a] = row
+        fresh &= ~sampled
+        sampled |= fresh
+        for i in iter_bits(fresh):
+            x = members[i]
+            added = _common(ix, _containing(ix, x) ^ 1 << i, full ^ x)
+            if not added or added & (added - 1):
+                return None
+            above[added.bit_length() - 1] |= full ^ x ^ added
+        guess = _guessed_base(ix, above, m.ground)
+        if guess is not None and _reproduces(*guess, masks):
+            return guess[0]
+        if k >= last:
+            return None
+        k *= 2
+
+
+def iter_recovered_base(m: MeetFamily) -> Iterator[Implication]:
+    """Stream the rules of ``recover_critical_base(m)``, which `sid` prints.
+
+    Nothing runs before the first rule is drawn.  The checked guess runs
+    first (:func:`_checked_guess`); on a miss the rules are those of
+    :func:`iter_recovered_implications`, streamed as it finds them, with
+    its errors.
+    """
+    base = _checked_guess(m)
+    if base is None:
+        yield from iter_recovered_implications(m)
+    else:
+        yield from base.implications
+
+
 def recover_critical_base(m: MeetFamily, verify: bool = False) -> ImplicationalBase:
     """Build the unit-minimum base whose meet-irreducible family is `m`.
 
     The input must be the meet family of a ranked convex geometry.  The
-    geometry is checked (:func:`iter_recovered_implications`), and a family
-    that fails raises :class:`NotConvexGeometryError`; rankedness is not
-    decidable here in polynomial time, so by default it is trusted.  With
-    ``verify`` the meets of the recovered base are recomputed and compared
-    with `m`, raising :class:`VerificationError` on mismatch.
+    checked guess (:func:`_checked_guess`) runs first; when it passes,
+    the family is such a meet family and the base is its critical base,
+    so the verification is already decided.  On a miss the base is that of
+    :func:`iter_recovered_implications`, which checks the geometry and
+    raises :class:`NotConvexGeometryError` on a family that fails; there
+    rankedness is not decidable in polynomial time, so by default it is
+    trusted.  With ``verify`` that base is ranked and its meets are
+    compared with `m` by the guess's check (:func:`_reproduces`), raising
+    :class:`VerificationError` when it has no rank or another family.
     """
+    base = _checked_guess(m)
+    if base is not None:
+        return base
     base = ImplicationalBase(m.ground, tuple(iter_recovered_implications(m)))
     if verify:
-        from .ccm import meet_irreducibles  # only `verify` needs ccm
-
         try:
-            recomputed = {meet.mask for _, meet in meet_irreducibles(base)}
+            rho = ranked(base)
         except NotRankedError as exc:
             raise VerificationError(
                 f"recovered base admits no rank function ({exc}); the input "
                 "was not the meet family of a ranked convex geometry"
             ) from exc
-        if recomputed != {meet.mask for meet in m.meets}:
+        if not _reproduces(base, rho, {meet.mask for meet in m.meets}):
             raise VerificationError(
                 "recovered base does not reproduce the input meet family; "
                 "the input was not the meet family of a ranked convex geometry"

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 
+import geodual.sid
 from conftest import DATA, layered_base
 from geodual import (
     ElementSet,
@@ -1280,9 +1281,10 @@ NOT_LOADED_BY = {
         "geodual.sid", "geodual.critical", "geodual.dualization", "dataclasses",
         "logging", "concurrent.futures", "multiprocessing", "numpy",
     ),
+    # `sid` checks its guessed ranks with `ccm`'s walk, so it loads `ccm`.
     ("sid", "rung.mf"): (
-        "geodual.ccm", "geodual.ranking", "dataclasses",
-        "concurrent.futures", "multiprocessing", "numpy",
+        "geodual.critical", "dataclasses", "concurrent.futures", "multiprocessing",
+        "numpy",
     ),
 }
 
@@ -1396,3 +1398,49 @@ def test_mutated_inputs_keep_the_exit_code_contract(capsys, tmp_path):
         for command in FUZZ_COMMANDS[source.suffix]:
             assert main([command[0], str(path), *command[1:]]) in (0, 1, 2, 3), (i, command)
             capsys.readouterr()
+
+
+def _without_the_guess(monkeypatch, capsys, argv):
+    """`run` with `sid`'s checked guess turned off, so that the general
+    path that a miss falls back to runs alone: the reference for errors."""
+    with monkeypatch.context() as patched:
+        patched.setattr(geodual.sid, "_checked_guess", lambda family: None)
+        return run(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "elements: 1 2 3\n1\n.\n",
+        "elements: a b c d\na b c\na\na d\nc d\n",
+        "elements: a b\nb\n",
+        "elements: a b c\n",
+    ],
+    ids=["no-one-element-extension", "reducible-member", "element-in-every-member",
+         "empty-family"],
+)
+def test_sid_errors_do_not_depend_on_the_guess(capsys, monkeypatch, tmp_path, text):
+    f = tmp_path / "bad.mf"
+    f.write_text(text)
+    for argv in (["sid", f], ["sid", f, "--verify"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == _without_the_guess(monkeypatch, capsys, argv)
+        assert code == 2 and err.startswith("precondition violated: not a convex-geometry")
+        assert out == ("" if "--verify" in argv else text.splitlines()[0] + "\n")
+
+
+def test_mutated_inputs_give_what_the_general_path_gives(capsys, monkeypatch, tmp_path):
+    """The mutants of `test_mutated_inputs_keep_the_exit_code_contract`,
+    through the commands that run `sid`'s recovery: the same exit code,
+    stdout and stderr as with the guess turned off."""
+    sid_commands = {".imp": (["roundtrip"],), ".mf": (["sid"], ["sid", "--verify"]),
+                    ".hg": (["sid"], ["sid", "--verify"])}
+    rng = random.Random(0)
+    sources = sorted(DATA.iterdir())
+    for i in range(200):
+        source = rng.choice(sources)
+        path = tmp_path / f"mutant{i}{source.suffix}"
+        path.write_bytes(_mutant(rng, source.read_bytes()))
+        for command in sid_commands[source.suffix]:
+            argv = [command[0], path, *command[1:]]
+            assert run(capsys, *argv) == _without_the_guess(monkeypatch, capsys, argv), (i, command)

@@ -14,20 +14,26 @@ from geodual import (
     ElementSet,
     GeodualError,
     GroundSet,
+    ImplicationalBase,
     InputError,
     MeetFamily,
     NotConvexGeometryError,
+    NotRankedError,
     VerificationError,
     closure,
     closure_from_meets,
     complement_hypergraph,
     critical_base,
     formats,
+    is_ranked_geometry,
     meet_irreducibles,
     partition_meets,
     predecessors,
     recover_critical_base,
 )
+import geodual.sid as sid
+from geodual.ccm import ranked
+from geodual.cli import main
 from geodual.hypergraphs import induced, minimal_transversals
 from geodual.oracle import (
     closed_set_masks,
@@ -40,8 +46,11 @@ from geodual.oracle import (
 )
 from geodual.sets import MAX_GROUND_SIZE, iter_bits
 from geodual.sid import (
+    _checked_guess,
     _index,
+    _reproduces,
     closure_from_meets_mask,
+    iter_recovered_base,
     iter_recovered_implications,
     recovered_premises,
 )
@@ -679,3 +688,136 @@ def test_roundtrip_at_4096_elements():
     recovered = recover_critical_base(fam)
     assert set(recovered.implications) == set(base.implications)
     assert recovered == critical_base(base)
+
+
+# -- the checked guess of `sid`, against the partition-and-predecessor path it
+# falls back to and against `critical_base`
+
+
+def general_base(fam):
+    """The base of the partition-and-predecessor path, or its error."""
+    return outcome(
+        lambda: ImplicationalBase(fam.ground, tuple(iter_recovered_implications(fam)))
+    )
+
+
+def streamed_base(fam):
+    """The base that `iter_recovered_base` streams, or its error."""
+    return outcome(lambda: ImplicationalBase(fam.ground, tuple(iter_recovered_base(fam))))
+
+
+def verify_by_meet_set(fam):
+    """``recover_critical_base(fam, verify=True)`` by its definition: the
+    general path's base must be ranked, and its set of meets the family's."""
+    base = general_base(fam)
+    if isinstance(base, Raised):
+        return base
+    try:
+        recomputed = {meet.mask for _, meet in meet_irreducibles(base)}
+    except NotRankedError as exc:
+        return Raised(
+            VerificationError,
+            f"recovered base admits no rank function ({exc}); the input was not "
+            "the meet family of a ranked convex geometry",
+        )
+    if recomputed != {meet.mask for meet in fam.meets}:
+        return Raised(
+            VerificationError,
+            "recovered base does not reproduce the input meet family; the input "
+            "was not the meet family of a ranked convex geometry",
+        )
+    return base
+
+
+def assert_every_entry_agrees(fam):
+    """The guess, when it passes, and every entry point give the general
+    path's base, or its error; `--verify` gives its definition's verdict."""
+    guess, general = _checked_guess(fam), general_base(fam)
+    if guess is not None:
+        assert guess == general
+    assert outcome(recover_critical_base, fam) == general
+    assert streamed_base(fam) == general
+    assert outcome(recover_critical_base, fam, verify=True) == verify_by_meet_set(fam)
+    return guess
+
+
+def meets_of(base):
+    return MeetFamily(base.ground, [meet for _, meet in meet_irreducibles(base)])
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.mf")), ids=lambda p: p.name)
+def test_guess_on_the_data_files(path):
+    try:
+        fam = MeetFamily(*formats.read_mf(path))
+    except InputError:
+        return  # bool2_minus.mf holds the whole ground set
+    guess = assert_every_entry_agrees(fam)
+    imp = path.with_suffix(".imp")
+    if imp.exists():
+        assert guess == critical_base(formats.read_imp(imp))
+
+
+@pytest.mark.parametrize("levels, width", [(3, 6), (4, 6), (4, 8)])
+def test_guess_on_the_ladder(levels, width):
+    base = layered_base(levels, width, 3, 2, 7)
+    fam = meets_of(base)
+    assert _checked_guess(fam) == critical_base(base) == general_base(fam)
+
+
+def test_guess_on_random_ranked_bases():
+    passed = 0
+    for seed in range(300):
+        base = random_ranked_base(random.Random(seed), 12, 24)
+        fam = MeetFamily(base.ground, meets_brute(base))
+        guess = assert_every_entry_agrees(fam)
+        assert recover_critical_base(fam) == critical_base(base)
+        passed += guess is not None
+    # The other 43 miss, and the general path gives the critical base.
+    assert passed == 257
+
+
+@pytest.mark.parametrize("seed", [0, 136, 263])
+def test_a_missed_guess_runs_the_general_path(monkeypatch, capsys, tmp_path, seed):
+    base = random_ranked_base(random.Random(seed), 12, 24)
+    fam = MeetFamily(base.ground, meets_brute(base))
+    assert _checked_guess(fam) is None
+    expected = formats.format_imp(critical_base(base))
+    assert formats.format_imp(general_base(fam)) == expected
+    ran = []
+
+    def general(m, *args):
+        ran.append(m)
+        return iter_recovered_implications(m, *args)
+
+    monkeypatch.setattr(sid, "iter_recovered_implications", general)
+    path = tmp_path / "missed.mf"
+    formats.write_mf(fam.ground, fam.meets, path)
+    assert main(["sid", str(path)]) == 0
+    assert capsys.readouterr() == (expected, "")
+    assert len(ran) == 1 and ran[0] == fam
+
+
+def test_unranked_families_keep_the_general_output():
+    # Acyclic bases whose geometry has no ranked base: no ranked R has their
+    # meets, so every guess misses, and `sid` prints what the general path
+    # does, which for some of them is not their critical base.
+    unranked = differ = 0
+    for seed in range(300):
+        base = random_acyclic_base(random.Random(seed), 9, 18)
+        if is_ranked_geometry(base):
+            continue
+        fam = MeetFamily(base.ground, meets_brute(base))
+        assert assert_every_entry_agrees(fam) is None
+        unranked += 1
+        differ += general_base(fam) != critical_base(base)
+    assert (unranked, differ) == (51, 10)
+
+
+def test_the_check_counts_the_meets():
+    base = layered_base(3, 6, 3, 2, 7)
+    rho = ranked(base)
+    masks = {meet.mask for _, meet in meet_irreducibles(base)}
+    assert _reproduces(base, rho, masks)
+    some = next(iter(masks))
+    assert not _reproduces(base, rho, masks - {some})
+    assert not _reproduces(base, rho, masks | {some ^ 1})
