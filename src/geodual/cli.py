@@ -7,14 +7,15 @@ guard), 3 verification failure.  Enumeration commands stream one result
 per line as it is produced; labels, never positions, appear in output.
 Every command writes its output through one writer, in stdout's encoding,
 one block of lines at a time, each flushed as soon as it is complete (a
-block is one line, or for `ccm` the meets of one recursion node); a label
-that encoding cannot hold ends the command with exit code 1 and one line
-on stderr, after the lines before it.  A reader that closes the output
-early (``geodual ccm big.imp | head -1``) ends the command quietly, with
-exit code 1 and nothing on stderr; a command started with stdout closed
-exits 1 with one line on stderr.  A warning, such as a
-repeated rule or member set that was dropped, is one ``warning: ...``
-line on stderr.  JSON lines are the bytes
+block is one line, or for `ccm` a run of its walk: the meets found before
+the next dualization, cut after about a thousand, so that no line waits
+for a dualization); a label that encoding cannot hold ends the command
+with exit code 1 and one line on stderr, after the lines before it.  A
+reader that closes the output early (``geodual ccm big.imp | head -1``)
+ends the command quietly, with exit code 1 and nothing on stderr; a
+command started with stdout closed exits 1 with one line on stderr.  A
+warning, such as a repeated rule or member set that was dropped, is one
+``warning: ...`` line on stderr.  JSON lines are the bytes
 `json.dumps` writes, with each label quoted once per command.
 
 Each command imports the modules it runs when it runs, so that a command
@@ -45,10 +46,11 @@ def _write_lines(items) -> None:
 
     This is the only writer to stdout: each item is encoded once and goes
     to the byte stream under the text layer as one write and one flush, so
-    it is out before the next item is asked for.  An item that the encoding
-    cannot hold has its lines before the bad character written, then the
-    error goes on.  A closed stdout, which Python leaves as ``None``, is an
-    error.
+    it is out before the next item is asked for; the caller picks how many
+    lines share a write (`ccm` gives a run of its walk per item).  An item
+    that the encoding cannot hold has its lines before the bad character
+    written, then the error goes on.  A closed stdout, which Python leaves
+    as ``None``, is an error.
     """
     stdout = sys.stdout
     if stdout is None:
@@ -80,9 +82,10 @@ def _json_items(ground):
 
 
 class _BlockText:
-    """The text of `ccm`'s blocks: each meet of a block ``(cmask, branches)``
-    of `MeetsAvoiding` as the line ``f"{lead}{join(mask) or empty}{end}"``,
-    with the lead of the block's element, the lines joined by ``"\\n"``.
+    """The text of a run of `ccm`'s blocks: each meet of a block
+    ``(cmask, branches)`` of `MeetsAvoiding` as the line
+    ``f"{lead}{join(mask) or empty}{end}"``, with the lead of the run's
+    element, the lines joined by ``"\\n"``.
 
     Every branch lies on the top rank, so when the region `cmask` is
     nonempty and lies wholly below `top_bit`, the bit of the first top-rank
@@ -95,7 +98,8 @@ class _BlockText:
     every list of a two-level base is, is joined and dropped, so the tails
     held grow only with the memo's reuse.  Any other block, one with an
     empty region, an empty branch or a region that reaches past a top-rank
-    position, is joined meet by meet, with the same bytes.
+    position, is joined meet by meet, with the same bytes.  A run costs one
+    call, not one per block.
     """
 
     def __init__(self, join, space: str, empty: str, end: str, top_bit: int):
@@ -104,20 +108,23 @@ class _BlockText:
         # id(branches) -> (branches, their tails from the second use on, or None)
         self.tails: dict[int, tuple[list[int], list[str] | None]] = {}
 
-    def __call__(self, lead: str, block: tuple[int, list[int]]) -> str:
-        cmask, branches = block
-        join, end = self.join, self.end
-        if 0 < cmask < self.top_bit and branches[0]:
-            seen = self.tails.get(id(branches))
-            if seen is None or seen[1] is None:
-                tails = list(map(join, branches))
-                self.tails[id(branches)] = (branches, None if seen is None else tails)
+    def __call__(self, lead: str, run: list[tuple[int, list[int]]]) -> str:
+        join, space, empty, end = self.join, self.space, self.empty, self.end
+        top_bit, held = self.top_bit, self.tails
+        lines = []
+        for cmask, branches in run:
+            if 0 < cmask < top_bit and branches[0]:
+                seen = held.get(id(branches))
+                if seen is None or seen[1] is None:
+                    tails = list(map(join, branches))
+                    held[id(branches)] = (branches, None if seen is None else tails)
+                else:
+                    tails = seen[1]
+                head = f"{lead}{join(cmask)}{space}"
+                lines.append(head + f"{end}\n{head}".join(tails) + end)
             else:
-                tails = seen[1]
-            head = f"{lead}{join(cmask)}{self.space}"
-            return head + f"{end}\n{head}".join(tails) + end
-        empty = self.empty
-        return "\n".join([f"{lead}{join(cmask | s) or empty}{end}" for s in branches])
+                lines += [f"{lead}{join(cmask | s) or empty}{end}" for s in branches]
+        return "\n".join(lines)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -125,11 +132,13 @@ class _BlockText:
 
 def cmd_ccm(args) -> int:
     """Stream the meets of a ranked base, one item of `_write_lines` per
-    block of the walk: its lines are formatted, encoded, written and
-    flushed together, as soon as the walk has them.  Plain, `--by-element`
-    and `--json` lines differ only in the lead before the labels, the
-    text after them, the join of a set and the text of the empty set, so
-    one `_BlockText` formats them all."""
+    run of the walk (`MeetsAvoiding.runs`): the lines of its blocks are
+    formatted, encoded, written and flushed together, before the walk
+    dualizes again, so no line waits for a dualization nor for more than
+    `_RUN_MEETS` meets of cheap walking.  Plain, `--by-element` and
+    `--json` lines differ only in the lead before the labels, the text
+    after them, the join of a set and the text of the empty set, so one
+    `_BlockText` formats them all."""
     from .ccm import MeetsAvoiding, ranked
 
     base = formats.read_imp(args.file)
@@ -144,7 +153,7 @@ def cmd_ccm(args) -> int:
         text = _BlockText(ground.join_labels, " ", formats.EMPTY_SET_TOKEN, "", top & -top)
         leads = [f"{label}: " if args.by_element else "" for label in ground.labels]
     _write_lines(
-        text(lead, block) for j, lead in enumerate(leads) for block in meets_avoiding(j)
+        text(lead, run) for j, lead in enumerate(leads) for run in meets_avoiding.runs(j)
     )
     return 0
 

@@ -105,7 +105,9 @@ class BergeBackend:
 
     def transversal_masks(self, edges: Sequence[int]) -> list[int]:
         family: list[int] = [0]
-        for edge in sorted(set(edges), key=sort_key_size_lex):
+        distinct = set(edges)
+        # One edge needs no order, and its key would spell out every position.
+        for edge in sorted(distinct, key=sort_key_size_lex) if len(distinct) > 1 else distinct:
             if edge == 0:
                 return []
             kept, missing, guards = [], [], []
@@ -220,7 +222,11 @@ def transversal_masks(
     :func:`minimal_transversals`.
     """
     backend = backend or DEFAULT_BACKEND
-    return sorted(backend.transversal_masks(edges), key=sort_key_lex)
+    masks = list(backend.transversal_masks(edges))
+    # As in Berge's edge order: one mask needs no key.
+    if len(masks) > 1:
+        masks.sort(key=sort_key_lex)
+    return masks
 
 
 def maximal_independent_sets(h: Hypergraph) -> Iterator[ElementSet]:

@@ -14,8 +14,10 @@ from types import SimpleNamespace
 import pytest
 
 
+import geodual.ccm
 import geodual.sid
 from conftest import DATA, layered_base
+from test_ccm import recursive_walk
 from geodual import (
     ElementSet,
     GroundSet,
@@ -28,7 +30,7 @@ from geodual import (
 )
 from geodual.ccm import MeetsAvoiding
 from geodual.cli import _BlockText, build_parser, main
-from geodual.hypergraphs import Hypergraph
+from geodual.hypergraphs import DEFAULT_BACKEND, Hypergraph
 from geodual.oracle import (
     all_closed_sets,
     joins_brute,
@@ -865,49 +867,93 @@ def test_unencodable_line_keeps_the_lines_before_it(tmp_path, prefix):
     assert proc.stdout == f"{lines[0]}\n{lines[1]}\n".encode("ascii")
 
 
-@pytest.mark.parametrize("option", [None, "--by-element", "--json"])
-@pytest.mark.parametrize("name", ["rung.imp", "layered.imp", "chain.imp"])
-def test_ccm_flushes_each_block_before_the_walk_goes_on(monkeypatch, data_dir, name, option):
-    """One write and one flush per nonempty block, in walk order, each done
-    before the walk is asked for its next block, and no blank line."""
-    path = data_dir / name
-    base = formats.read_imp(path)
-    labels = base.ground.labels
+def _walk_counts(base):
+    """The walk of `ccm` over `base` by the recursive reference: the meets
+    found by the end of each block, before each dualization and by the end
+    of each element, in walk order, with one memo for the whole base."""
+    found, ends, before, element_ends = 0, [], [], []
 
-    # Each request for a block, then the block's write and flush.
-    streams = MeetsAvoiding(base, compute_rank(base))
-    expected = []
+    class Logged:
+        def transversal_masks(self, edges):
+            before.append(found)
+            return DEFAULT_BACKEND.transversal_masks(edges)
+
+    rho = compute_rank(base)
+    reference = MeetsAvoiding(base, rho, Logged())
+    prefixes = reference._prefixes
     for j in range(base.ground.size):
-        for cmask, branches in streams(j):
-            assert branches
-            meets = (ElementSet(base.ground, cmask | s) for s in branches)
-            text = "".join(_ccm_line(option, labels, j, meet) + "\n" for meet in meets)
-            expected += [("next", j), ("write", text.encode()), ("flush",)]
-        expected.append(("next", j))
+        rank, bit = rho.ranks[j], 1 << j
+        for _, branches in recursive_walk(reference, bit, rank, prefixes[rank] & ~bit):
+            if branches:
+                found += len(branches)
+                ends.append(found)
+        element_ends.append(found)
+    return ends, before, element_ends
 
+
+@pytest.mark.parametrize("option", [None, "--by-element", "--json"])
+@pytest.mark.parametrize("name", ["rung.imp", "layered.imp", "chain.imp", "L6w8"])
+def test_ccm_flushes_each_run_before_the_next_dualization(
+    monkeypatch, data_dir, tmp_path, name, option
+):
+    """One write and one flush per run of whole blocks.  At every
+    dualization each meet found so far is written and flushed; a run ends
+    only there, once it holds `_RUN_MEETS` meets, or at the end of an
+    element; and the bytes are the per-meet lines."""
+    path = data_dir / name
+    if name == "L6w8":
+        path = tmp_path / "L6w8.imp"
+        formats.write_imp(layered_base(6, 8, 3, 2, seed=7), path)
+    base = formats.read_imp(path)
+    ends, before, element_ends = _walk_counts(base)
+    expected = "".join(line + "\n" for line in _ccm_lines(base, option)).encode()
+    limit = geodual.ccm._RUN_MEETS
+
+    # Each dualization of the CLI's walk, and each write and flush.
     log = []
-    call = MeetsAvoiding.__call__
+    dualize = geodual.ccm.independent_masks
 
-    def recording_call(self, j):
-        walk = call(self, j)
-        while True:
-            log.append(("next", j))
-            block = next(walk, None)
-            if block is None:
-                return
-            yield block
+    def logged(*args):
+        log.append(("dualize",))
+        return dualize(*args)
 
-    monkeypatch.setattr(MeetsAvoiding, "__call__", recording_call)
-    # A text stdout whose byte stream records each write and flush.
+    monkeypatch.setattr(geodual.ccm, "independent_masks", logged)
     buffer = SimpleNamespace(
         write=lambda data: log.append(("write", data)), flush=lambda: log.append(("flush",))
     )
     stdout = SimpleNamespace(encoding="utf-8", errors="strict", flush=lambda: None, buffer=buffer)
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["ccm", str(path), *([option] if option else [])]) == 0
-    assert log == expected
-    writes = [entry[1] for entry in log if entry[0] == "write"]
+
+    output = [entry for entry in log if entry[0] != "dualize"]
+    writes = [data for kind, data in output[::2]]
+    assert output == [entry for data in writes for entry in (("write", data), ("flush",))]
+    assert b"".join(writes) == expected
     assert all(not data.startswith(b"\n") and b"\n\n" not in data for data in writes)
+
+    # A dualization never falls between a write and its flush, and by then
+    # every meet the walk has found is written.
+    written, seen, done = 0, [], []
+    for i, entry in enumerate(log):
+        if entry[0] == "dualize":
+            assert i == 0 or log[i - 1][0] != "write"
+            seen.append(written)
+        elif entry[0] == "write":
+            written += entry[1].count(b"\n")
+            done.append((written, log[i + 2 : i + 3]))
+    assert seen == before
+    # One write per run.  A run is whole blocks, all but its last making
+    # fewer meets than the limit, and it ends before a dualization, at the
+    # limit, or at the end of an element.
+    streams = MeetsAvoiding(base, compute_rank(base))
+    assert len(writes) == sum(1 for j in range(base.ground.size) for _ in streams.runs(j))
+    block = {count: k for k, count in enumerate(ends)}
+    start = 0
+    for count, after in done:
+        k = block[count]
+        assert (ends[k - 1] if k else 0) - start < limit
+        assert after == [("dualize",)] or count - start >= limit or count in element_ends
+        start = count
 
 
 @pytest.mark.parametrize("option", [None, "--by-element", "--json"])
@@ -945,30 +991,36 @@ def _permuted(base, rng):
 @pytest.mark.parametrize("option", [None, "--by-element", "--json"])
 def test_ccm_blocks_match_per_meet_lines(monkeypatch, tmp_path, option):
     """`ccm`'s block formatter writes the bytes of one `join_labels` or
-    `json.dumps` line per meet, whichever way the block is joined: on
-    random ranked bases, whose ranks interleave in the ground set, on a
-    layered base in rank order and permuted, and on blocks with an empty
-    region or an empty branch."""
+    `json.dumps` line per meet, whichever way the block is joined and
+    however the walk's runs split the blocks: on random ranked bases,
+    whose ranks interleave in the ground set, on layered bases in rank
+    order and permuted, and on blocks with an empty region or an empty
+    branch, with runs ending at every block, every 7 meets, and at
+    `_RUN_MEETS`."""
     rng = random.Random(5)
     layered = layered_base(4, 6, 3, 2, seed=1)
     bases = {
         **{f"random-{seed}": random_ranked_base(random.Random(seed), 12, 24) for seed in range(30)},
         "layered": layered,
         "layered-permuted": _permuted(layered, rng),
+        "L6w8": layered_base(6, 8, 3, 2, seed=7),
         "empty-head": formats.parse_imp(BLOCK_IMP),
         "empty-tail": formats.parse_imp("elements: w x a\na -> x\n"),
     }
     # How each block is joined, per `_BlockText`: a head before each branch
     # when its region is nonempty and before every top-rank position.
     joined = {"head": 0, "empty head": 0, "empty tail": 0, "interleaved": 0}
+    limits = (1, 7, geodual.ccm._RUN_MEETS)
     for name, base in bases.items():
         path = tmp_path / f"{name}.imp"
         formats.write_imp(base, path)
-        out = io.BytesIO()
-        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8"))
-        code = main(["ccm", str(path), *([option] if option else [])])
-        expected = "".join(line + "\n" for line in _ccm_lines(base, option))
-        assert (code, out.getvalue()) == (0, expected.encode()), name
+        expected = "".join(line + "\n" for line in _ccm_lines(base, option)).encode()
+        for limit in limits:
+            monkeypatch.setattr(geodual.ccm, "_RUN_MEETS", limit)
+            out = io.BytesIO()
+            monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8"))
+            code = main(["ccm", str(path), *([option] if option else [])])
+            assert (code, out.getvalue()) == (0, expected), (name, limit)
         rho = compute_rank(base)
         top = rho.level_mask(rho.max_rank)
         streams = MeetsAvoiding(base, rho)
@@ -990,15 +1042,16 @@ def test_block_text_keeps_the_tails_of_a_list_from_its_second_use():
 
     text = _BlockText(join, " ", ".", "!", 0b0100)
     branches = [0b0100, 0b1000]
-    assert text("", (0b0011, branches)) == "a b c!\na b d!"
+    assert text("", [(0b0011, branches)]) == "a b c!\na b d!"
     assert text.tails == {id(branches): (branches, None)}
-    assert text("> ", (0b0010, branches)) == "> b c!\n> b d!"
+    assert text("> ", [(0b0010, branches)]) == "> b c!\n> b d!"
     assert text.tails == {id(branches): (branches, ["c", "d"])}
     joins.clear()
-    assert text("", (0b0001, branches)) == "a c!\na d!"
+    assert text("", [(0b0001, branches)]) == "a c!\na d!"
     assert joins == [0b0001]
-    # A region past the first top-rank position is joined meet by meet.
-    assert text("", (0b1001, [0b0100])) == "a c d!"
+    # A region past the first top-rank position is joined meet by meet,
+    # and the blocks of a run are joined by one newline.
+    assert text("", [(0b1001, [0b0100]), (0b0001, branches)]) == "a c d!\na c!\na d!"
     assert len(text.tails) == 1
 
 
@@ -1012,8 +1065,8 @@ def test_block_text_keeps_no_tails_of_a_list_used_once(levels, kept):
     text = _BlockText(base.ground.join_labels, " ", ".", "", top & -top)
     streams = MeetsAvoiding(base, rho)
     for j in range(base.ground.size):
-        for block in streams(j):
-            text("", block)
+        for run in streams.runs(j):
+            text("", run)
     assert len(text.tails) >= 8
     assert any(tails is not None for _, tails in text.tails.values()) == kept
 
