@@ -189,26 +189,23 @@ def cmd_rank_check(args) -> int:
     labels = base.ground.labels
     result = compute_rank(base)
     is_ranked = isinstance(result, RankFunction)
-    if is_ranked and args.json:
-        lines = [json.dumps({"ranked": True, "ranks": dict(zip(labels, result.ranks))})]
-    elif is_ranked:
-        lines = ["ranked", *(f"{label}={rank}" for label, rank in zip(labels, result.ranks))]
-    elif args.json:
-        conflict = {
+    if is_ranked:
+        record = {"ranked": True, "ranks": dict(zip(labels, result.ranks))}
+        lines = ["ranked", *(f"{label}={rank}" for label, rank in record["ranks"].items())]
+    else:
+        record = {
             "ranked": False,
             "element": labels[result.element],
             "required_ranks": list(result.required_ranks),
             "witnesses": [repr(w) for w in result.witness_implications],
         }
-        lines = [json.dumps(conflict)]
-    else:
         lines = [
             "conflict",
-            f"element: {labels[result.element]}",
-            "ranks: {} vs {}".format(*result.required_ranks),
-            *(f"witness: {w!r}" for w in result.witness_implications),
+            f"element: {record['element']}",
+            "ranks: {} vs {}".format(*record["required_ranks"]),
+            *(f"witness: {w}" for w in record["witnesses"]),
         ]
-    _write_lines(lines)
+    _write_lines([json.dumps(record)] if args.json else lines)
     return 0 if is_ranked else 2
 
 

@@ -198,9 +198,7 @@ _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 DEFAULT_BACKEND = BergeBackend()
 
 
-def minimal_transversals(
-    h: Hypergraph, backend: DualizationBackend | None = None
-) -> Iterator[ElementSet]:
+def minimal_transversals(h: Hypergraph) -> Iterator[ElementSet]:
     """Stream the minimal transversals of `h`.
 
     Every yielded set meets every edge and is inclusion-minimal with that
@@ -209,7 +207,7 @@ def minimal_transversals(
     the ascending position sequence.
     """
     u = h.universe
-    for mask in transversal_masks([e.mask for e in h.edges], backend):
+    for mask in transversal_masks([e.mask for e in h.edges]):
         yield ElementSet(u, mask)
 
 

@@ -370,8 +370,11 @@ def _guessed_base(
     ix: _Index, above: list[int], ground: GroundSet
 ) -> tuple[ImplicationalBase, RankFunction] | None:
     """The base R read off the ranks that the constraints `above` give, and
-    those ranks; None when the constraints have a cycle, when a member
-    misses two lowest-ranked elements, or when some block is empty.
+    those ranks; None when the constraints have a cycle or a member misses
+    two lowest-ranked elements.  An element that no member goes to is left
+    to :func:`_reproduces`: if R passes, its layers rank a base of the
+    geometry, so by the lemma of :func:`_checked_guess` each member goes to
+    its own block, and no block of a convex geometry is empty.
 
     ``above[j]`` holds the elements that must rank above j.  Each element
     gets the length of the longest chain of constraints below it: the
@@ -398,9 +401,8 @@ def _guessed_base(
         left ^= level
     members, miss = ix.members, ix.miss
     width = len(members)
-    # The members holding every element of the levels peeled so far, and
-    # the elements that some member went to.
-    inside, assigned = (1 << width) - 1, 0
+    # The members holding every element of the levels peeled so far.
+    inside = (1 << width) - 1
     edges: list[list[int]] = [[] for _ in range(n)]
     for level, up in zip(levels, [*levels[1:], 0]):
         here = 0
@@ -413,11 +415,8 @@ def _guessed_base(
             low = level & ~x
             if low & (low - 1):
                 return None
-            assigned |= low
             if up:
                 edges[low.bit_length() - 1].append(up & ~x)
-    if assigned != (1 << n) - 1:
-        return None
     # The top level has no premises above it, and so no rules.
     rules = [
         Implication(ElementSet(ground, p), j)
@@ -472,10 +471,13 @@ def _checked_guess(m: MeetFamily) -> ImplicationalBase | None:
     of :func:`~geodual.critical.critical_base`.  So R is the critical base,
     which is what :func:`iter_recovered_implications` streams on a ranked
     geometry's family (the paper's theorem).  k starts at 1 and doubles on
-    a miss, up to the attempt where it covers every member missing each
-    element.  A member that fails the test, an element in every member or
-    an empty family returns None at once, so that the path of
-    :func:`iter_recovered_implications` raises its own error.
+    a miss, up to the first attempt that has sampled every member, since a
+    later one would repeat it.  A member that fails the test, an element in
+    every member or an empty family returns None at once, so that the path
+    of :func:`iter_recovered_implications` raises its own error.  Members
+    go largest first: in family order the guess took 11 attempts on each
+    sid-deep family (4-6 by size), 14 on L5 w8 and 16 on L6 w8 (4 and 5),
+    and 8.0 s on L6 w8 against 0.14 s, in process on 2 cores.
     """
     n = m.ground.size
     members = sorted((member.mask for member in m.meets), key=int.bit_count, reverse=True)
@@ -489,7 +491,6 @@ def _checked_guess(m: MeetFamily) -> ImplicationalBase | None:
     # members go by size, largest first, so these are its lowest bits.
     unsampled = list(ix.miss)
     above, sampled = [0] * n, 0
-    last = max(map(int.bit_count, ix.miss))
     k = 1
     while True:
         fresh = 0
@@ -511,7 +512,7 @@ def _checked_guess(m: MeetFamily) -> ImplicationalBase | None:
         guess = _guessed_base(ix, above, m.ground)
         if guess is not None and _reproduces(*guess, masks):
             return guess[0]
-        if k >= last:
+        if sampled == everyone:
             return None
         k *= 2
 

@@ -18,6 +18,7 @@ import geodual.ccm
 import geodual.sid
 from conftest import DATA, layered_base
 from test_ccm import recursive_walk
+from test_sid import recorded_attempts
 from geodual import (
     ElementSet,
     GroundSet,
@@ -1497,3 +1498,42 @@ def test_mutated_inputs_give_what_the_general_path_gives(capsys, monkeypatch, tm
         for command in sid_commands[source.suffix]:
             argv = [command[0], path, *command[1:]]
             assert run(capsys, *argv) == _without_the_guess(monkeypatch, capsys, argv), (i, command)
+
+
+@pytest.mark.parametrize(
+    "argv, name, header",
+    [(["ccm"], "empty.imp", "elements:"), (["sid"], "empty.mf", "elements:"),
+     (["oracle", "transversals"], "empty.hg", "vertices:")],
+    ids=["ccm", "sid", "oracle-transversals"],
+)
+def test_a_header_without_labels_exits_1(capsys, tmp_path, argv, name, header):
+    f = tmp_path / name
+    f.write_text(f"{header}\n")
+    assert run(capsys, *argv, f) == (
+        1, "", f"error: {f}:1: at least one element label is required\n"
+    )
+
+
+def test_a_cyclic_geometry_ends_the_guess_at_its_cycle(capsys, monkeypatch, tmp_path):
+    # The closed sets of the four points a < x < y < b of a line are its
+    # intervals.  Every base of that geometry holds a y -> x and x b -> y,
+    # and so has no rank.
+    text = "elements: a x y b\nx y b\na x y\na\ny b\na x\nb\n"
+    f = tmp_path / "line.mf"
+    f.write_text(text)
+    fam = MeetFamily(*formats.read_mf(f))
+    partition_meets(fam)
+    with monkeypatch.context() as patched:
+        attempts = recorded_attempts(patched)
+        assert geodual.sid._checked_guess(fam) is None
+    above, result = attempts[-1]
+    x, y = fam.ground.position("x"), fam.ground.position("y")
+    assert above[x] >> y & 1 and above[y] >> x & 1 and result is None
+    # The general path prints a base that is not this geometry's: {a, b}
+    # is closed under it.  `--verify` finds that it has no rank.
+    argv = ["sid", f]
+    assert run(capsys, *argv) == _without_the_guess(monkeypatch, capsys, argv) == (
+        0, "elements: a x y b\na y -> x\nx b -> y\n", ""
+    )
+    code, out, err = run(capsys, "sid", f, "--verify")
+    assert (code, out) == (3, "") and "recovered base admits no rank function" in err

@@ -8,6 +8,8 @@ from conftest import make_base, sets_of
 from geodual import (
     Antichain,
     ElementSet,
+    GroundSet,
+    Implication,
     InputError,
     MeetFamily,
     PreconditionError,
@@ -15,6 +17,7 @@ from geodual import (
     is_meet_family,
     reduce_dual_to_cmi,
 )
+from geodual.dualization import check_same_base
 from geodual.errors import RelabelWarning
 from geodual.oracle import (
     closed_set_masks,
@@ -164,3 +167,37 @@ class TestEquivalenceAndIdentities:
                 )
             )
             assert without_z == true_plus
+
+
+# A base on other labels than `bool2`'s, whose sets, antichains and meet
+# families belong to neither `bool2` nor its reduction.
+OTHER = make_base("a b", [])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda b: Antichain(b, sets_of(OTHER, "a")),
+         "antichain member {a} has a foreign universe"),
+        (lambda b: check_same_base(b, Antichain(OTHER, []), "positive"),
+         "positive antichain was built against a different base"),
+        (lambda b: reduce_dual_to_cmi(b, Antichain(b, []), Antichain(b, []),
+                                      MeetFamily(OTHER.ground, meets_brute(OTHER))),
+         "meet family lives on a different ground set"),
+        (lambda b: is_meet_family(b, MeetFamily(OTHER.ground, meets_brute(OTHER))),
+         "meet family lives on a different ground set"),
+    ],
+    ids=["antichain", "same-base", "reduce", "is-meet-family"],
+)
+def test_inputs_of_another_ground_set_are_rejected(bool2, call, message):
+    with pytest.raises(InputError) as raised:
+        call(bool2)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("conclusion", [-1, 2])
+def test_a_conclusion_outside_the_universe_is_rejected(conclusion):
+    premise = ElementSet.from_labels(GroundSet(["1", "2"]), ["1"])
+    with pytest.raises(InputError) as raised:
+        Implication(premise, conclusion)
+    assert str(raised.value) == f"conclusion position {conclusion} outside universe"

@@ -2,7 +2,7 @@
 
 import random
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 from typing import NamedTuple
 
 import pytest
@@ -795,6 +795,61 @@ def test_a_missed_guess_runs_the_general_path(monkeypatch, capsys, tmp_path, see
     assert main(["sid", str(path)]) == 0
     assert capsys.readouterr() == (expected, "")
     assert len(ran) == 1 and ran[0] == fam
+
+
+def recorded_attempts(monkeypatch):
+    """Patch `_guessed_base` to log, per attempt, the constraints it is
+    given and what it returns."""
+    attempts, guessed_base = [], sid._guessed_base
+
+    def recording(ix, above, ground):
+        result = guessed_base(ix, above, ground)
+        attempts.append((list(above), result))
+        return result
+
+    monkeypatch.setattr(sid, "_guessed_base", recording)
+    return attempts
+
+
+def has_cycle(above):
+    """Whether the constraints ``above[j]`` (the elements that must rank
+    above j) put some element above itself."""
+    reach = list(above)
+    for _ in above:
+        reach = [r | reduce(or_, (reach[i] for i in iter_bits(r)), 0) for r in reach]
+    return any(r >> j & 1 for j, r in enumerate(reach))
+
+
+def test_a_miss_ends_at_the_first_attempt_that_samples_every_member(monkeypatch):
+    shorter = []
+    for seed in (0, 136, 263):
+        base = random_ranked_base(random.Random(seed), 12, 24)
+        fam = MeetFamily(base.ground, meets_brute(base))
+        members = sorted((m.mask for m in fam.meets), key=int.bit_count, reverse=True)
+        rows = [[x for x in members if not x >> a & 1] for a in range(fam.ground.size)]
+        # Attempt t has sampled the 2**(t-1) largest members missing each element.
+        needed, k = 1, 1
+        while set().union(*(row[:k] for row in rows)) != set(members):
+            needed, k = needed + 1, 2 * k
+        with monkeypatch.context() as patched:
+            attempts = recorded_attempts(patched)
+            assert _checked_guess(fam) is None
+        assert len(attempts) == needed, seed
+        # Doubling k until the longest miss row is used up takes this many.
+        shorter.append(needed < 1 + (max(map(len, rows)) - 1).bit_length())
+    assert any(shorter)
+
+
+def test_failing_attempts_on_a_sid_deep_family_end_before_any_walk(monkeypatch):
+    fam = layered_meet_family(4, 8, 3, 2, seed=9)
+    attempts, walks = recorded_attempts(monkeypatch), []
+    monkeypatch.setattr(sid, "_reproduces", lambda *args: walks.append(args) or _reproduces(*args))
+    assert _checked_guess(fam) == critical_base(layered_base(4, 8, 3, 2, 9))
+    assert len(walks) == 1
+    # Each attempt but the last fails at the member that misses two
+    # lowest-ranked elements, since its constraints have no cycle.
+    assert [result is None for _, result in attempts] == [True] * (len(attempts) - 1) + [False]
+    assert not any(has_cycle(above) for above, _ in attempts)
 
 
 def test_unranked_families_keep_the_general_output():
